@@ -932,11 +932,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ttl", type=float, default=0.0,
                    help="job TTL in seconds (0: service default)")
     p.add_argument("--wait", action="store_true",
-                   help="poll until the job completes")
+                   help="block until the job completes")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="--wait deadline in seconds (default 600)")
     p.add_argument("--poll", type=float, default=0.2,
-                   help="--wait poll interval in seconds (default 0.2)")
+                   help="--wait: longest gap in seconds between status "
+                        "updates; the wait itself ends as soon as the "
+                        "job does (default 0.2, server cap 30)")
     p.add_argument("--out", default="",
                    help="write the completed result matrix (JSON) here")
     p.set_defaults(fn=cmd_submit,

@@ -22,7 +22,8 @@ is assembled from cache, no worker is touched, and
 ``repro_service_cache_hits_total`` records the short-circuit.  Likewise
 a resubmission of an already-completed job dedups onto the finished
 record.  Everything else queues, and ``job_status`` exposes live
-progress (updated per completed spec via the job's journal callback).
+progress (updated per completed spec via the job's journal callback);
+given ``wait_s`` it long-polls, answering the moment the job settles.
 
 Crash recovery composes from parts that already existed: the queue
 journal re-queues jobs that were running when the process died, the
@@ -56,6 +57,7 @@ from repro.service.queue import JobQueue
 from repro.service.rpc import (
     INVALID_PARAMS,
     INVALID_STATE,
+    MAX_WAIT_S,
     NOT_FOUND,
     ServiceError,
     make_server,
@@ -167,6 +169,7 @@ class SweepService:
         return self
 
     def stop(self) -> None:
+        self.queue.release_waiters()
         self.dispatcher.stop()
         self.engine.close()
         self.queue.close()
@@ -214,8 +217,19 @@ class SweepService:
             "total": job.total,
         }
 
-    def job_status(self, job_id: str) -> Dict:
-        return self._job(job_id).to_dict()
+    def job_status(self, job_id: str, wait_s: float = 0) -> Dict:
+        """The job record; with ``wait_s > 0``, held until the job
+        settles or ``wait_s`` (clamped to :data:`MAX_WAIT_S`) passes.
+
+        A job whose TTL ran out is expired here, so its waiters learn
+        of it even while the dispatcher is busy with another job.
+        """
+        if (isinstance(wait_s, bool) or not isinstance(wait_s, (int, float))
+                or not wait_s >= 0):
+            raise ServiceError("'wait_s' must be a non-negative number of "
+                               "seconds", INVALID_PARAMS)
+        job = self._job(job_id)
+        return self.queue.wait(job, min(wait_s, MAX_WAIT_S)).to_dict()
 
     def job_result(self, job_id: str) -> Dict:
         """The completed matrix: one ``{spec, result}`` pair per spec, in
@@ -393,8 +407,9 @@ class SweepService:
                          state=JobState.DONE.value)
         self.metrics.inc("repro_service_specs_executed_total", executed)
         if job.started_at is not None:
-            self.metrics.observe("repro_service_job_seconds",
-                                 max(0, round(time.time() - job.started_at)))
+            self.metrics.observe(
+                "repro_service_job_ms",
+                max(0, round((time.time() - job.started_at) * 1000)))
         return True
 
     # -- internals -----------------------------------------------------------

@@ -3,11 +3,12 @@
 Everything goes over one ``urllib`` POST per call; no sockets are held
 between calls, so a client object is cheap and safe to share.  The
 helper methods mirror the server's method registry one-for-one, plus two
-conveniences: :meth:`ServiceClient.wait` (poll ``job_status`` until the
-job settles) and :meth:`ServiceClient.results` (fetch ``job_result`` and
-inflate it back into the same ``{RunSpec: RunResult}`` matrix
-``repro.api.sweep`` returns — byte-identical content, different
-transport).
+conveniences: :meth:`ServiceClient.wait` (long-poll ``job_status`` until
+the job settles: the server holds each call until the job is done or
+``poll_s`` passes, so the wait ends when the job does) and
+:meth:`ServiceClient.results` (fetch ``job_result`` and inflate it back
+into the same ``{RunSpec: RunResult}`` matrix ``repro.api.sweep``
+returns — byte-identical content, different transport).
 
 RPC-level failures raise :class:`~repro.service.rpc.ServiceError`
 carrying the JSON-RPC error code; transport failures (server down,
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from repro.experiments._engine import RunSpec
 from repro.service.jobs import JobState
-from repro.service.rpc import INTERNAL_ERROR, ServiceError
+from repro.service.rpc import INTERNAL_ERROR, MAX_WAIT_S, ServiceError
 from repro.system.results import RunResult
 
 #: Terminal job states wait() stops on.
@@ -78,8 +79,8 @@ class ServiceClient:
             params["ttl_s"] = ttl_s
         return self.call("submit_sweep", **params)
 
-    def job_status(self, job_id: str) -> Dict:
-        return self.call("job_status", job_id=job_id)
+    def job_status(self, job_id: str, wait_s: float = 0) -> Dict:
+        return self.call("job_status", job_id=job_id, wait_s=wait_s)
 
     def job_result(self, job_id: str) -> Dict:
         return self.call("job_result", job_id=job_id)
@@ -101,15 +102,31 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout_s: float = 600.0,
              poll_s: float = 0.2) -> Dict:
-        """Poll until the job settles; returns its final status record.
+        """Block until the job settles; returns its final status record.
+
+        Each ``job_status`` call long-polls: the server answers as soon
+        as the job settles, or after ``poll_s`` with a fresh status —
+        so ``poll_s`` is the longest the caller goes without one, not a
+        delay added to every wait.  ``poll_s`` is capped at the server's
+        :data:`~repro.service.rpc.MAX_WAIT_S`, half the client's
+        ``timeout_s`` and the time left.  A server that ignores
+        ``wait_s`` answers at once; the rest of ``poll_s`` is then slept
+        here, so the loop never spins.
 
         Raises :class:`ServiceError` if the job settles anywhere other
         than ``done`` (the error message carries the job's recorded
         failure), or :class:`TimeoutError` past the deadline.
         """
+        if poll_s < 0:
+            raise ValueError(f"poll_s must be >= 0, got {poll_s}")
         deadline = time.monotonic() + timeout_s
         while True:
-            status = self.job_status(job_id)
+            asked = time.monotonic()
+            # Half the socket timeout at most, so a held reply always
+            # arrives before the read times out.
+            wait_s = max(0.0, min(poll_s, MAX_WAIT_S, self.timeout_s / 2,
+                                  deadline - asked))
+            status = self.job_status(job_id, wait_s=wait_s)
             if status["state"] in _SETTLED:
                 if status["state"] != JobState.DONE.value:
                     detail = status.get("error") or ""
@@ -117,12 +134,13 @@ class ServiceClient:
                         f"job {job_id} settled as {status['state']}"
                         + (f": {detail}" if detail else ""))
                 return status
-            if time.monotonic() >= deadline:
+            answered = time.monotonic()
+            if answered >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout_s:.0f}s ({status['completed']}/"
                     f"{status['total']} specs done)")
-            time.sleep(poll_s)
+            time.sleep(max(0.0, asked + wait_s - answered))
 
     def results(self, job_id: str) -> Dict[RunSpec, RunResult]:
         """The job's matrix in ``repro.api.sweep``'s shape."""
@@ -138,9 +156,12 @@ class ServiceClient:
               timeout_s: float = 600.0,
               poll_s: float = 0.2) -> Dict[RunSpec, RunResult]:
         """Submit, wait, fetch: the one-call remote equivalent of
-        :func:`repro.api.sweep`."""
+        :func:`repro.api.sweep`.  A submission answered ``done`` (from
+        the result cache) goes straight to the fetch."""
         submitted = self.submit_sweep(specs, priority=priority, ttl_s=ttl_s)
-        self.wait(submitted["job_id"], timeout_s=timeout_s, poll_s=poll_s)
+        if submitted["state"] != JobState.DONE.value:
+            self.wait(submitted["job_id"], timeout_s=timeout_s,
+                      poll_s=poll_s)
         return self.results(submitted["job_id"])
 
     def __repr__(self) -> str:

@@ -29,6 +29,12 @@ terminal failure state (failed / cancelled / expired) restart fresh.
 **Ordering.** ``pop_next`` serves the highest priority first, FIFO
 within a priority class; queued jobs past their TTL expire instead of
 dispatching.
+
+**Waiting.** :meth:`JobQueue.wait` parks a caller on a condition over
+the queue lock until a job settles: every terminal transition (finish,
+cancel, TTL expiry) and :meth:`JobQueue.release_waiters` notify it, so
+a long-polling ``job_status`` answers the moment its job is done
+instead of on the client's next poll.
 """
 
 from __future__ import annotations
@@ -61,7 +67,9 @@ class JobQueue:
     """Durable priority queue of :class:`~repro.service.jobs.Job` records.
 
     Thread-safe: every public method takes the queue lock, so RPC handler
-    threads and the dispatcher thread interleave freely.
+    threads and the dispatcher thread interleave freely.  ``_settled``
+    is a condition over that same lock, notified on every terminal
+    transition.
     """
 
     def __init__(self, state_dir, default_ttl_s: float = DEFAULT_TTL_S):
@@ -70,6 +78,8 @@ class JobQueue:
         self.default_ttl_s = default_ttl_s
         self._jobs: Dict[str, Job] = {}   # full key -> Job
         self._lock = threading.RLock()
+        self._settled = threading.Condition(self._lock)
+        self._released = False            # set by release_waiters()
         self._fh = None
         self._seq = 0
         self.replayed = 0                 # jobs loaded from a prior process
@@ -263,6 +273,7 @@ class JobQueue:
                 "cache_hits": job.cache_hits, "executed": job.executed,
                 "error": error,
             })
+            self._settled.notify_all()
 
     def cancel(self, job_id: str) -> Optional[Job]:
         """Cancel a queued job; returns it, or ``None`` if unknown.
@@ -284,18 +295,57 @@ class JobQueue:
 
     # -- TTL -----------------------------------------------------------------
 
+    def _expire(self, job: Job, now: float) -> None:
+        """Record one TTL expiry (caller holds the lock)."""
+        job.state = JobState.EXPIRED
+        job.finished_at = now
+        self._append({"event": "state", "key": job.key,
+                      "state": job.state.value, "finished_at": now})
+        self._settled.notify_all()
+
     def _expire_due(self, now: float) -> List[Job]:
         """Expire queued jobs past their TTL (caller holds the lock)."""
-        expired = []
-        for job in self._jobs.values():
-            if job.expired(now):
-                job.state = JobState.EXPIRED
-                job.finished_at = now
-                self._append({"event": "state", "key": job.key,
-                              "state": job.state.value, "finished_at": now})
-                expired.append(job)
+        expired = [job for job in self._jobs.values() if job.expired(now)]
+        for job in expired:
+            self._expire(job, now)
         return expired
 
     def expire_due(self, now: Optional[float] = None) -> List[Job]:
         with self._lock:
             return self._expire_due(time.time() if now is None else now)
+
+    # -- waiting -------------------------------------------------------------
+
+    def wait(self, job: Job, timeout_s: float = 0.0) -> Job:
+        """Block until ``job`` settles, ``timeout_s`` passes, or
+        :meth:`release_waiters` is called; returns ``job`` either way.
+
+        A queued job whose TTL has run out expires here rather than on
+        the dispatcher's next pass, and a wait on a queued job with a
+        TTL is cut short at its expiry time — so a waiter sees
+        ``expired`` on time even while the dispatcher is busy with
+        another job.  ``timeout_s=0`` only applies that TTL check.
+        """
+        deadline = time.monotonic() + timeout_s
+        with self._settled:
+            while True:
+                now = time.time()
+                if job.expired(now):
+                    self._expire(job, now)
+                left = deadline - time.monotonic()
+                if (job.state in TERMINAL_STATES or self._released
+                        or left <= 0):
+                    return job
+                if job.state is JobState.QUEUED and job.ttl_s > 0:
+                    # Job.expired() is strict (age > ttl), hence the
+                    # millisecond past the expiry instant.
+                    due = job.submitted_at + job.ttl_s - now + 1e-3
+                    left = min(left, max(due, 1e-3))
+                self._settled.wait(left)
+
+    def release_waiters(self) -> None:
+        """Wake every :meth:`wait` now and make later ones return at
+        once (the service is stopping)."""
+        with self._settled:
+            self._released = True
+            self._settled.notify_all()

@@ -9,9 +9,12 @@ and answers ``{"jsonrpc": "2.0", "id": 1, "result": ...}`` or an error
 object with the standard codes (parse error -32700, unknown method
 -32601, invalid params -32602) plus two service codes: ``-32001`` job
 not found, ``-32002`` invalid state transition (e.g. cancelling a
-running job).  For operator convenience ``GET /health`` and
-``GET /metrics`` return the same payloads as the corresponding RPC
-methods, so a bare ``curl`` works as a liveness probe.
+running job).  ``job_status`` takes an optional ``wait_s``: the handler
+thread holds the reply until the job settles or ``wait_s`` (at most
+:data:`MAX_WAIT_S`) passes, so a waiting client hears about completion
+at once instead of on its next poll.  For operator convenience
+``GET /health`` and ``GET /metrics`` return the same payloads as the
+corresponding RPC methods, so a bare ``curl`` works as a liveness probe.
 
 The service is also a shared **blob store**
 (:class:`repro.store.HttpStore` is the client):
@@ -54,6 +57,10 @@ INTERNAL_ERROR = -32603
 NOT_FOUND = -32001
 INVALID_STATE = -32002
 
+#: Longest a ``job_status`` long-poll (``wait_s``) holds its handler
+#: thread; larger requests are clamped to it.
+MAX_WAIT_S = 30.0
+
 
 class ServiceError(ReproError):
     """An RPC-visible failure, carrying its JSON-RPC error code."""
@@ -92,7 +99,8 @@ def _submit_sweep(service, params: Dict) -> Dict:
 
 @rpc_method("job_status")
 def _job_status(service, params: Dict) -> Dict:
-    return service.job_status(_require(params, "job_id"))
+    return service.job_status(_require(params, "job_id"),
+                              wait_s=params.get("wait_s", 0))
 
 
 @rpc_method("job_result")

@@ -338,9 +338,10 @@ class TestServiceCommands:
         from repro.experiments._engine import ExperimentEngine, ResultCache
         from repro.service.app import SweepService
         from repro.service.rpc import make_server
+        from repro.store import FsStore
 
-        engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path / "cache"), enabled=True))
         service = SweepService(state_dir=tmp_path / "state", engine=engine,
                                idle_poll_s=0.05).start()
         server = make_server(service, port=0)

@@ -7,6 +7,7 @@ from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.service.dispatcher import Dispatcher, JobJournal
 from repro.service.app import SweepService
 from repro.service.jobs import JobState
+from repro.store import FsStore
 
 SPECS = [RunSpec(workload="histogram", protocol=protocol,
                  cores=2, per_core=80, seed=0)
@@ -80,8 +81,8 @@ class TestDispatcher:
         dispatcher.stop()
 
     def test_drains_submissions_in_background(self, tmp_path):
-        engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path / "cache"), enabled=True))
         with SweepService(state_dir=tmp_path / "state", engine=engine,
                           idle_poll_s=0.05) as service:
             submitted = service.submit([s.payload() for s in SPECS])

@@ -1,6 +1,10 @@
-"""JobQueue: durability, dedup, priority ordering, TTL, cancellation."""
+"""JobQueue: durability, dedup, priority ordering, TTL, cancellation,
+and waiters woken by terminal transitions."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -107,6 +111,122 @@ class TestTtl:
         with JobQueue(tmp_path, default_ttl_s=5.0) as queue:
             job, _ = queue.submit(SPECS, now=0.0)
             assert job.ttl_s == 5.0
+
+
+def waiter(queue, job, timeout_s=30.0):
+    """Run ``queue.wait(job, timeout_s)`` on a thread; returns a dict that
+    gets the waited job and how long the wait took."""
+    out = {}
+    started = threading.Event()
+
+    def run():
+        started.set()
+        start = time.monotonic()
+        out["job"] = queue.wait(job, timeout_s)
+        out["took"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    started.wait()
+    time.sleep(0.05)  # let it park on the condition
+    return thread, out
+
+
+class TestWait:
+    def test_finish_wakes_a_waiter(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS)
+            queue.pop_next()
+            thread, out = waiter(queue, job)
+            queue.finish(job, JobState.DONE)
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert out["job"] is job and job.state is JobState.DONE
+            assert out["took"] < 2.0
+
+    def test_cancel_wakes_a_waiter_at_once(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS)
+            thread, out = waiter(queue, job)
+            queue.cancel(job.id)
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert out["job"].state is JobState.CANCELLED
+            assert out["took"] < 2.0
+
+    def test_release_waiters_frees_a_blocked_wait(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS)
+            thread, out = waiter(queue, job)
+            queue.release_waiters()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert out["job"].state is JobState.QUEUED
+            assert out["took"] < 2.0
+            # Later waits return at once too: the service is stopping.
+            start = time.monotonic()
+            queue.wait(job, 30.0)
+            assert time.monotonic() - start < 1.0
+
+    def test_wait_times_out_on_an_unsettled_job(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS)
+            start = time.monotonic()
+            assert queue.wait(job, 0.2).state is JobState.QUEUED
+            assert 0.2 <= time.monotonic() - start < 2.0
+
+    def test_wait_is_cut_short_at_the_ttl(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS, ttl_s=0.1)
+            start = time.monotonic()
+            assert queue.wait(job, 30.0).state is JobState.EXPIRED
+            assert time.monotonic() - start < 2.0
+
+    def test_zero_wait_expires_a_due_job(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS, ttl_s=10.0, now=time.time() - 60)
+            assert queue.wait(job).state is JobState.EXPIRED
+        with JobQueue(tmp_path) as queue:  # and the expiry is journaled
+            assert queue.get(job.id).state is JobState.EXPIRED
+
+    def test_no_wakeup_is_lost_under_contention(self, tmp_path):
+        # More waiters than cores and a tiny switch interval: every waiter
+        # must see its job settle; a lost notify would leave one parked
+        # until its 30 s timeout.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobQueue(tmp_path) as queue:
+                jobs = [queue.submit([spec(seed=seed)])[0]
+                        for seed in range(8)]
+                states = []
+                threads = [threading.Thread(
+                    target=lambda job=job: states.append(
+                        queue.wait(job, 30.0).state), daemon=True)
+                    for job in jobs for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for index, job in enumerate(jobs):
+                    if index % 2:
+                        queue.cancel(job.id)
+                    else:
+                        queue.finish(job, JobState.DONE)
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(state.value for state in states) == (
+                    ["cancelled"] * 8 + ["done"] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_settled_job_returns_at_once(self, tmp_path):
+        with JobQueue(tmp_path) as queue:
+            job, _ = queue.submit(SPECS)
+            queue.cancel(job.id)
+            start = time.monotonic()
+            assert queue.wait(job, 30.0) is job
+            assert time.monotonic() - start < 1.0
 
 
 class TestDurability:

@@ -22,6 +22,7 @@ from repro.service.app import SweepService
 from repro.service.dispatcher import JobJournal
 from repro.service.jobs import JobState
 from repro.service.queue import JobQueue
+from repro.store import FsStore
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -33,7 +34,7 @@ SPECS = [RunSpec(workload="histogram", protocol=protocol, cores=2,
 
 def reference_results(tmp_path):
     with ExperimentEngine(jobs=1, cache=ResultCache(
-            tmp_path / "ref", enabled=True)) as engine:
+            store=FsStore(tmp_path / "ref"), enabled=True)) as engine:
         return engine.run_many(SPECS)
 
 
@@ -49,16 +50,16 @@ class TestInProcessRecovery:
             job, _ = queue.submit(SPECS)
             queue.pop_next()
         journal = JobJournal(state / "journals" / f"{job.id}.jsonl")
-        with ExperimentEngine(jobs=1,
-                              cache=ResultCache(cache_root, enabled=True),
+        with ExperimentEngine(jobs=1, cache=ResultCache(
+                store=FsStore(cache_root), enabled=True),
                               journal=journal) as engine:
             for spec in SPECS[:2]:
                 engine.run(spec)
         journal.close()
 
         # Restart: the queue journal re-queues the in-flight job ...
-        engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(cache_root), enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             assert service.queue.requeued == 1
@@ -90,8 +91,8 @@ class TestInProcessRecovery:
     def test_done_job_survives_restart_and_serves_results(self, tmp_path):
         state = tmp_path / "state"
         cache_root = tmp_path / "cache"
-        engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(cache_root), enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             submitted = service.submit([s.payload() for s in SPECS[:2]])
@@ -100,8 +101,8 @@ class TestInProcessRecovery:
         finally:
             service.stop()
 
-        engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(cache_root), enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             job = service.queue.get(submitted["job_id"])
@@ -115,8 +116,8 @@ class TestInProcessRecovery:
             service.stop()
 
     def test_result_blob_rebuilt_from_cache_when_deleted(self, tmp_path):
-        engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path / "cache"), enabled=True))
         service = SweepService(state_dir=tmp_path / "state", engine=engine)
         try:
             submitted = service.submit([s.payload() for s in SPECS[:2]])
@@ -146,13 +147,14 @@ CHILD = textwrap.dedent("""\
     from repro.common.params import ProtocolKind
     from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
     from repro.service.app import SweepService
+    from repro.store import FsStore
 
     specs = [RunSpec(workload="histogram", protocol=protocol, cores=2,
                      per_core=80, seed=seed).payload()
              for seed in (0, 1, 2)
              for protocol in (ProtocolKind.MESI, ProtocolKind.PROTOZOA_MW)]
-    engine = ExperimentEngine(jobs=1,
-                              cache=ResultCache({cache!r}, enabled=True))
+    engine = ExperimentEngine(jobs=1, cache=ResultCache(
+        store=FsStore({cache!r}), enabled=True))
     service = SweepService(state_dir={state!r}, engine=engine,
                            idle_poll_s=0.05).start()
     service.submit(specs)
@@ -192,8 +194,8 @@ class TestSigkillRecovery:
 
         # Restart over the same state dir: the queue journal re-queues
         # the in-flight job and the re-run touches only the remainder.
-        engine = ExperimentEngine(jobs=1,
-                                  cache=ResultCache(cache_root, enabled=True))
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(cache_root), enabled=True))
         service = SweepService(state_dir=state, engine=engine)
         try:
             assert service.queue.requeued == 1

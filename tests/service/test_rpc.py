@@ -6,7 +6,9 @@ A real ``ThreadingHTTPServer`` on an ephemeral port, a real
 """
 
 import json
+import math
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -22,6 +24,7 @@ from repro.service import (
     SweepService,
     make_server,
 )
+from repro.service.jobs import JobState
 from repro.service.rpc import (
     INVALID_PARAMS,
     INVALID_REQUEST,
@@ -30,25 +33,43 @@ from repro.service.rpc import (
     NOT_FOUND,
     PARSE_ERROR,
 )
+from repro.store import FsStore
 
 SPECS = [RunSpec(workload="histogram", protocol=protocol,
                  cores=2, per_core=80, seed=0)
          for protocol in (ProtocolKind.MESI, ProtocolKind.PROTOZOA_MW)]
 
 
+class CountingClient(ServiceClient):
+    """A client that records every RPC method it calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.methods = []
+
+    def call(self, method, **params):
+        self.methods.append(method)
+        return super().call(method, **params)
+
+
+def serving(service):
+    """Serve ``service`` over HTTP on an ephemeral port in a thread;
+    returns ``(server, url)``."""
+    server = make_server(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}"
+
+
 @pytest.fixture()
 def live(tmp_path):
     """A running service + HTTP server + client, all torn down after."""
-    engine = ExperimentEngine(
-        jobs=1, cache=ResultCache(tmp_path / "cache", enabled=True))
+    engine = ExperimentEngine(jobs=1, cache=ResultCache(
+        store=FsStore(tmp_path / "cache"), enabled=True))
     service = SweepService(state_dir=tmp_path / "state", engine=engine,
                            idle_poll_s=0.05).start()
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
+    server, url = serving(service)
     try:
-        yield service, ServiceClient(url, timeout_s=30.0), url
+        yield service, CountingClient(url, timeout_s=30.0), url
     finally:
         server.shutdown()
         server.server_close()
@@ -75,7 +96,8 @@ class TestEndToEnd:
         _, client, _ = live
         remote = client.sweep(SPECS, timeout_s=120.0)
         with ExperimentEngine(jobs=1, cache=ResultCache(
-                tmp_path / "ref", enabled=True)) as reference_engine:
+                store=FsStore(tmp_path / "ref"),
+                enabled=True)) as reference_engine:
             reference = reference_engine.run_many(SPECS)
         assert ({s.digest(): r.to_dict() for s, r in remote.items()} ==
                 {s.digest(): r.to_dict() for s, r in reference.items()})
@@ -122,6 +144,166 @@ class TestEndToEnd:
         jobs = client.list_jobs()
         assert [job["id"] for job in jobs] == [submitted["job_id"]]
         assert client.list_jobs(state="done") == []
+
+
+class TestLongPoll:
+    def test_wait_returns_when_the_job_does(self, live):
+        _, client, _ = live
+        submitted = client.submit_sweep(SPECS[:1])
+        assert not submitted["cached"]
+        start = time.monotonic()
+        status = client.wait(submitted["job_id"], timeout_s=60.0,
+                             poll_s=30.0)
+        assert status["state"] == "done"
+        assert time.monotonic() - start < 5.0
+        assert client.methods.count("job_status") <= 2
+
+    def test_cached_sweep_skips_the_status_call(self, live):
+        _, client, _ = live
+        client.sweep(SPECS[:1], timeout_s=60.0)
+        client.methods.clear()
+        client.sweep(SPECS[:1], timeout_s=60.0)
+        assert client.methods == ["submit_sweep", "job_result"]
+
+    @pytest.mark.parametrize("wait_s", [-1, -0.5, "1", True, False, None,
+                                        math.nan, [1]])
+    def test_bad_wait_s_rejected(self, live, wait_s):
+        service, client, _ = live
+        service.dispatcher.stop()
+        submitted = client.submit_sweep(SPECS)
+        with pytest.raises(ServiceError) as exc:
+            client.call("job_status", job_id=submitted["job_id"],
+                        wait_s=wait_s)
+        assert exc.value.code == INVALID_PARAMS
+
+    def test_wait_s_above_the_cap_is_clamped(self, live, monkeypatch):
+        service, client, _ = live
+        monkeypatch.setattr("repro.service.app.MAX_WAIT_S", 0.2)
+        service.dispatcher.stop()  # keep the job queued
+        submitted = client.submit_sweep(SPECS)
+        start = time.monotonic()
+        status = client.call("job_status", job_id=submitted["job_id"],
+                             wait_s=1e9)
+        assert status["state"] == "queued"
+        assert 0.2 <= time.monotonic() - start < 5.0
+
+    def test_cancel_wakes_a_long_poll(self, live):
+        service, client, url = live
+        service.dispatcher.stop()
+        submitted = client.submit_sweep(SPECS)
+        out = {}
+
+        def long_poll():
+            start = time.monotonic()
+            out["status"] = ServiceClient(url, timeout_s=60.0).job_status(
+                submitted["job_id"], wait_s=25.0)
+            out["took"] = time.monotonic() - start
+
+        thread = threading.Thread(target=long_poll, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        client.cancel(submitted["job_id"])
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert out["status"]["state"] == "cancelled"
+        assert out["took"] < 5.0
+
+    def test_stop_releases_a_blocked_waiter(self, tmp_path):
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path / "cache"), enabled=True))
+        service = SweepService(state_dir=tmp_path / "state", engine=engine)
+        job_id = service.submit([s.payload() for s in SPECS])["job_id"]
+        out = {}
+
+        def blocked():
+            start = time.monotonic()
+            out["status"] = service.job_status(job_id, wait_s=30.0)
+            out["took"] = time.monotonic() - start
+
+        thread = threading.Thread(target=blocked, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        service.stop()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert out["status"]["state"] == "queued"
+        assert out["took"] < 5.0
+
+    def test_ttl_expiry_seen_while_the_dispatcher_is_busy(self, tmp_path):
+        # A stub engine holds job A; B's TTL runs out behind it.  The
+        # long-poll on B must answer "expired" at B's expiry time, not
+        # when A finishes and the dispatcher next looks at the queue.
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path / "cache"), enabled=True))
+        running, release = threading.Event(), threading.Event()
+        real_run_many = engine.run_many
+
+        def blocking_run_many(specs):
+            running.set()
+            release.wait(60.0)
+            return real_run_many(specs)
+
+        engine.run_many = blocking_run_many
+        service = SweepService(state_dir=tmp_path / "state", engine=engine,
+                               idle_poll_s=0.05).start()
+        server, url = serving(service)
+        client = ServiceClient(url, timeout_s=30.0)
+        try:
+            first = client.submit_sweep(SPECS[:1])
+            assert running.wait(30.0)
+            second = client.submit_sweep(SPECS[1:], ttl_s=0.1)
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="expired"):
+                client.wait(second["job_id"], timeout_s=5.0, poll_s=30.0)
+            assert time.monotonic() - start < 2.0
+            assert (service.queue.get(first["job_id"]).state
+                    is JobState.RUNNING)
+        finally:
+            release.set()
+            server.shutdown()
+            server.server_close()
+            service.stop()
+
+    def test_negative_poll_s_rejected(self):
+        # A negative interval would long-poll for 0 s and never sleep.
+        with pytest.raises(ValueError, match="poll_s"):
+            ServiceClient("http://127.0.0.1:9").wait("0" * 16, poll_s=-1)
+
+    def test_wait_never_spins_against_a_server_ignoring_wait_s(self):
+        class OldService:
+            """A server from before long-polling: answers at once."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def job_status(self, job_id, wait_s=0):
+                self.calls += 1
+                return {"state": "running", "completed": 0, "total": 1}
+
+        old = OldService()
+        server, url = serving(old)
+        try:
+            poll_s, timeout_s = 0.1, 1.0
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                ServiceClient(url).wait("0" * 16, timeout_s=timeout_s,
+                                        poll_s=poll_s)
+            took = time.monotonic() - start
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert old.calls <= (math.ceil(1 / poll_s) + 2) * max(took, 1.0)
+
+
+class TestJobLatencyHistogram:
+    def test_one_fresh_job_records_its_milliseconds(self, live):
+        _, client, _ = live
+        client.sweep(SPECS[:1], timeout_s=60.0)
+        histograms = client.metrics()["histograms"]
+        assert "repro_service_job_seconds" not in histograms
+        job_ms = histograms["repro_service_job_ms"]
+        assert job_ms["count"] == 1
+        assert job_ms["max"] > 0
 
 
 class TestErrorPaths:

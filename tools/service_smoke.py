@@ -10,7 +10,10 @@ End to end, through the real CLI entry points:
    ``repro.api.sweep`` of the same grid (separate result cache, so the
    service actually computed its copy);
 4. re-submit the identical sweep and assert it is answered from cache
-   with **zero** new engine executions.
+   with **zero** new engine executions;
+5. submit one fresh cell with ``--wait --poll 30`` and assert it returns
+   in well under the poll interval: ``job_status`` long-polls, so the
+   wait ends when the job does, not on the next poll.
 
 Exit status 0 on success; any failure prints a diagnosis and exits 1.
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,9 @@ REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = "histogram,kmeans"
 PROTOCOLS = "mesi,mw"
 CORES, SCALE = 4, 300
+#: A poll interval far longer than one small job, and the bound the
+#: long-polled wait must beat (a sleep-polling client takes >= POLL_S).
+POLL_S, LONG_POLL_BOUND_S = 30, 10.0
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 — py3.10 friendly
@@ -117,15 +124,35 @@ def main() -> int:
         print("service-smoke: re-submission served from cache, "
               "zero new engine executions")
 
+        fresh = ["submit", "--url", url, "--workloads", "histogram",
+                 "--protocol", "sw", "--cores", str(CORES),
+                 "--scale", str(SCALE), "--wait", "--poll", str(POLL_S)]
+        start = time.monotonic()
+        third = cli(fresh, env)
+        took = time.monotonic() - start
+        print(third.stdout, end="")
+        if third.returncode != 0 or "queued" not in third.stdout:
+            fail(f"fresh submit --wait failed:\n{third.stdout}\n"
+                 f"{third.stderr}")
+        if took >= LONG_POLL_BOUND_S:
+            fail(f"fresh submit --wait --poll {POLL_S} took {took:.1f}s "
+                 f"(bound {LONG_POLL_BOUND_S:.0f}s): the wait is not "
+                 "woken when the job finishes")
+        print(f"service-smoke: fresh one-cell submit --wait --poll {POLL_S} "
+              f"returned in {took:.2f}s")
+
         jobs = cli(["jobs", "--url", url], env)
         if jobs.returncode != 0 or "done" not in jobs.stdout:
             fail(f"jobs listing failed:\n{jobs.stdout}\n{jobs.stderr}")
         print("service-smoke: PASS")
         return 0
     finally:
-        server.terminate()
+        # SIGINT is repro serve's clean stop: it drains the in-flight job
+        # and shuts the worker pool down, where SIGTERM would orphan the
+        # pool's workers.
+        server.send_signal(signal.SIGINT)
         try:
-            server.wait(timeout=10)
+            server.wait(timeout=20)
         except subprocess.TimeoutExpired:
             server.kill()
 
