@@ -52,13 +52,12 @@ class MsgType(enum.Enum):
         self.label = label
         self.category = category
         self.carries_data = carries_data
+        # The traffic-breakdown bucket this message's control bytes land
+        # in, precomputed so the per-message path indexes it directly.
+        self.control_key = category.value
 
     def size_bytes(self, payload_words: int = 0) -> int:
         """Total on-wire bytes for this message."""
         if payload_words and not self.carries_data:
             raise ValueError(f"{self.label} cannot carry data")
         return CONTROL_MESSAGE_BYTES + payload_words * WORD_BYTES
-
-    @property
-    def control_bytes(self) -> int:
-        return CONTROL_MESSAGE_BYTES

@@ -31,7 +31,8 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MsgType
 from repro.common.addresses import AddressMap
 from repro.common.errors import InvariantViolation, ProtocolError, SimulationError
-from repro.common.params import L1Organization, ProtocolKind, SystemConfig
+from repro.common.params import (CONTROL_MESSAGE_BYTES, L1Organization,
+                                 ProtocolKind, SystemConfig)
 from repro.common.wordrange import WordRange, popcount
 from repro.interconnect.accounting import NetworkAccountant
 from repro.interconnect.mesh import MeshTopology
@@ -502,7 +503,7 @@ class CoherenceProtocol:
                 rec[F_MSGS].append(
                     [mtype.label, src_node, dst_node, payload_words])
         if at_l1:
-            self.stats.control_bytes(mtype.category, mtype.control_bytes)
+            self.stats.traffic.control[mtype.control_key] += CONTROL_MESSAGE_BYTES
             if payload_words and mtype in (MsgType.WBACK, MsgType.WBACK_LAST):
                 self.stats.data_words(used_payload_words, payload_words - used_payload_words)
         if mtype in (MsgType.INV, MsgType.FWD_GETX):
@@ -640,15 +641,19 @@ class CoherenceProtocol:
         overlapping = l1.overlapping(region, req)
         self.mshrs[core].note_multi_block(from_cpu=True, blocks=len(overlapping) + 1)
         merged = req
-        for block in overlapping:
-            merged = merged.span(block.range)
-        data: List[int] = []
-        for word in merged.words():
-            old = next((b for b in overlapping if b.range.contains(word)), None)
-            if old is not None:
-                data.append(old.value(word))
-            else:
-                data.append(values[word - req.start])
+        # ``values`` is a fresh copy of the L2's words of ``req``: with
+        # nothing to merge it is the new block's data as it stands.
+        data = values
+        if overlapping:
+            for block in overlapping:
+                merged = merged.span(block.range)
+            data = []
+            for word in merged.words():
+                old = next((b for b in overlapping if b.range.contains(word)), None)
+                if old is not None:
+                    data.append(old.value(word))
+                else:
+                    data.append(values[word - req.start])
         state = LineState.M if is_write else granted
         touched = 0
         dirty = 0

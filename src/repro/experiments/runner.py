@@ -17,7 +17,7 @@ tractable; raise the scale for closer-to-paper steady-state numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import ProtocolKind
@@ -65,10 +65,21 @@ class ResultMatrix:
 
     def _spec(self, workload: str, protocol: ProtocolKind,
               block_bytes: Optional[int] = None) -> RunSpec:
+        """The spec that serves one cell.
+
+        A block size whose machine is the default cell's (Table 1's 64-B
+        MESI column) maps to the default spec, so the two cells share one
+        simulation and one cache entry.
+        """
         s = self.settings
-        return RunSpec(workload=workload, protocol=protocol,
-                       block_bytes=block_bytes, cores=s.cores,
+        spec = RunSpec(workload=workload, protocol=protocol,
+                       block_bytes=None, cores=s.cores,
                        per_core=s.per_core, seed=s.seed)
+        if block_bytes is not None:
+            sized = replace(spec, block_bytes=block_bytes)
+            if sized.config() != spec.config():
+                return sized
+        return spec
 
     def run(self, workload: str, protocol: ProtocolKind,
             block_bytes: Optional[int] = None) -> RunResult:

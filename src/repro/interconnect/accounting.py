@@ -18,6 +18,11 @@ class NetworkAccountant:
     def __init__(self, topology: MeshTopology):
         self.topology = topology
         self.config: NetworkConfig = topology.config
+        # transfer() runs once per message: bind what it reads once.
+        self._flit_bytes = self.config.flit_bytes
+        self._hop_table = topology.hop_table
+        self._router_latency = self.config.router_latency
+        self._per_hop = self.config.link_latency + self._router_latency
         self.total_flits = 0
         self.total_flit_hops = 0
         self.total_messages = 0
@@ -38,7 +43,7 @@ class NetworkAccountant:
         """Number of flits needed for a message of ``size_bytes``."""
         if size_bytes <= 0:
             return 0
-        fb = self.config.flit_bytes
+        fb = self._flit_bytes
         return (size_bytes + fb - 1) // fb
 
     def max_flits(self, max_size_bytes: int) -> int:
@@ -52,8 +57,9 @@ class NetworkAccountant:
         tail flits.  A self-send (src == dst, e.g. a core whose home tile is
         its own) costs the router traversal only and no flit-hops.
         """
-        flits = self.flits(size_bytes)
-        hops = self.topology.hops(src_node, dst_node)
+        fb = self._flit_bytes
+        flits = (size_bytes + fb - 1) // fb if size_bytes > 0 else 0
+        hops = self._hop_table[src_node][dst_node]
         self.total_messages += 1
         self.total_flits += flits
         self.total_flit_hops += flits * hops
@@ -75,8 +81,8 @@ class NetworkAccountant:
                 f[flits] += 1
         if self.observer is not None:
             self.observer(hops, flits)
-        per_hop = self.config.link_latency + self.config.router_latency
-        return hops * per_hop + max(flits - 1, 0) + self.config.router_latency
+        return (hops * self._per_hop + (flits - 1 if flits else 0)
+                + self._router_latency)
 
     def snapshot(self) -> dict:
         return {

@@ -23,7 +23,13 @@ class MeshTopology:
         self.height = config.mesh_height
         self.nodes = self.width * self.height
         self._corners = self._corner_nodes()
-        self._hops = self._precompute_hops()
+        # hop_table[src][dst]: read-only after construction.
+        self.hop_table = self._precompute_hops()
+        # Nearest memory controller (corner tile) of every home tile.
+        self._memory_nodes = [
+            min(self._corners, key=lambda c: self.hop_table[home][c])
+            for home in range(self.nodes)
+        ]
         # Largest hop count any route can see (the far-corner diagonal);
         # lets observers preallocate value-indexed histograms.
         self.max_hops = (self.width - 1) + (self.height - 1)
@@ -55,23 +61,24 @@ class MeshTopology:
 
     def memory_node(self, home: int) -> int:
         """Nearest memory controller (corner tile) to ``home``."""
-        return min(self._corners, key=lambda c: self._hops[home][c])
+        return self._memory_nodes[home]
 
     # -- distances ---------------------------------------------------------
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between two nodes."""
-        return self._hops[src][dst]
+        return self.hop_table[src][dst]
 
     def core_to_home(self, core: int, region: int) -> int:
-        return self._hops[self.core_node(core)][self.home_node(region)]
+        return self.hop_table[self.core_node(core)][self.home_node(region)]
 
     def core_to_core(self, a: int, b: int) -> int:
-        return self._hops[self.core_node(a)][self.core_node(b)]
+        return self.hop_table[self.core_node(a)][self.core_node(b)]
 
     def average_hops(self) -> float:
         """Mean hop distance over all distinct node pairs (diagnostics)."""
         total = sum(
-            self._hops[a][b] for a in range(self.nodes) for b in range(self.nodes)
+            self.hop_table[a][b]
+            for a in range(self.nodes) for b in range(self.nodes)
         )
         return total / float(self.nodes * self.nodes - self.nodes)

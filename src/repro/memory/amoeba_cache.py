@@ -13,7 +13,8 @@ Invariants maintained here (and property-tested):
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from collections import defaultdict
+from typing import Callable, DefaultDict, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.wordrange import WordRange
@@ -32,8 +33,11 @@ class AmoebaCache:
         self.set_bytes = set_bytes
         self.tag_bytes = tag_bytes
         self.word_bytes = word_bytes
-        self._sets: List[List[Block]] = [[] for _ in range(sets)]
-        self._occupancy: List[int] = [0] * sets
+        # Sets and their byte occupancy are keyed by set index and created
+        # on first use (a short run touches few of them); whole-cache walks
+        # visit them in ascending index order.
+        self._sets: DefaultDict[int, List[Block]] = defaultdict(list)
+        self._occupancy: DefaultDict[int, int] = defaultdict(int)
         self._tick = 0
 
     # -- indexing ----------------------------------------------------------
@@ -81,11 +85,11 @@ class AmoebaCache:
         return have & rng.mask
 
     def __iter__(self) -> Iterator[Block]:
-        for line in self._sets:
+        for _, line in sorted(self._sets.items()):
             yield from line
 
     def __len__(self) -> int:
-        return sum(len(line) for line in self._sets)
+        return sum(len(line) for line in self._sets.values())
 
     # -- mutation ----------------------------------------------------------
 
@@ -133,17 +137,20 @@ class AmoebaCache:
 
     def snapshot(self):
         """Opaque copy of the cache contents (blocks cloned both ways)."""
-        return ([[b.clone() for b in line] for line in self._sets], self._tick)
+        return ({index: [b.clone() for b in line]
+                 for index, line in self._sets.items() if line}, self._tick)
 
     def restore(self, snap) -> None:
         """Reinstate a state captured by :meth:`snapshot`."""
         lines, tick = snap
-        self._sets = [[b.clone() for b in line] for line in lines]
+        self._sets = defaultdict(list, {index: [b.clone() for b in line]
+                                        for index, line in lines.items()})
         self._tick = tick
-        self._occupancy = [
-            sum(b.footprint_bytes(self.tag_bytes, self.word_bytes) for b in line)
-            for line in self._sets
-        ]
+        self._occupancy = defaultdict(int, {
+            index: sum(b.footprint_bytes(self.tag_bytes, self.word_bytes)
+                       for b in line)
+            for index, line in self._sets.items()
+        })
 
     def canonical_state(self):
         """Hashable control-state summary: per set, blocks in LRU order.
@@ -156,21 +163,23 @@ class AmoebaCache:
                 (b.region, b.range.as_tuple(), b.state.value, b.dirty_mask)
                 for b in sorted(line, key=lambda b: b.last_use)
             ))
-            for index, line in enumerate(self._sets) if line
+            for index, line in sorted(self._sets.items()) if line
         )
 
     # -- accounting --------------------------------------------------------
 
     def occupancy(self, index: int) -> int:
-        return self._occupancy[index]
+        return self._occupancy.get(index, 0)
 
     def utilization(self) -> float:
         """Fraction of the total byte budget currently occupied."""
-        return sum(self._occupancy) / float(self.num_sets * self.set_bytes)
+        return (sum(self._occupancy.values())
+                / float(self.num_sets * self.set_bytes))
 
     def check_integrity(self) -> None:
         """Assert structural invariants (used by tests and debug runs)."""
-        for index, line in enumerate(self._sets):
+        for index in sorted(self._sets.keys() | self._occupancy.keys()):
+            line = self._sets.get(index, [])
             occ = 0
             for i, a in enumerate(line):
                 if self.set_index(a.region) != index:
@@ -179,9 +188,10 @@ class AmoebaCache:
                 for b in line[i + 1 :]:
                     if a.region == b.region and a.range.overlaps(b.range):
                         raise SimulationError(f"overlap: {a!r} vs {b!r}")
-            if occ != self._occupancy[index]:
+            tracked = self._occupancy.get(index, 0)
+            if occ != tracked:
                 raise SimulationError(
-                    f"set {index} occupancy drift {occ} != {self._occupancy[index]}"
+                    f"set {index} occupancy drift {occ} != {tracked}"
                 )
             if occ > self.set_bytes:
                 raise SimulationError(f"set {index} over budget: {occ}")

@@ -7,7 +7,8 @@ classic sets x ways layout with LRU replacement.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from collections import defaultdict
+from typing import Callable, DefaultDict, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.wordrange import WordRange
@@ -24,7 +25,10 @@ class FixedCache:
             raise SimulationError("cache geometry must be positive")
         self.num_sets = sets
         self.ways = ways
-        self._sets: List[List[Block]] = [[] for _ in range(sets)]
+        # Keyed by set index and created on first use: a short run touches
+        # a few of the hundreds of sets, and only those are ever built.
+        # Every whole-cache walk visits them in ascending index order.
+        self._sets: DefaultDict[int, List[Block]] = defaultdict(list)
         self._tick = 0
 
     def set_index(self, region: int) -> int:
@@ -63,11 +67,11 @@ class FixedCache:
         return block.range.to_mask() & want if block else 0
 
     def __iter__(self) -> Iterator[Block]:
-        for line in self._sets:
+        for _, line in sorted(self._sets.items()):
             yield from line
 
     def __len__(self) -> int:
-        return sum(len(line) for line in self._sets)
+        return sum(len(line) for line in self._sets.values())
 
     # -- mutation ----------------------------------------------------------
 
@@ -99,12 +103,14 @@ class FixedCache:
 
     def snapshot(self):
         """Opaque copy of the cache contents (blocks cloned both ways)."""
-        return ([[b.clone() for b in line] for line in self._sets], self._tick)
+        return ({index: [b.clone() for b in line]
+                 for index, line in self._sets.items() if line}, self._tick)
 
     def restore(self, snap) -> None:
         """Reinstate a state captured by :meth:`snapshot`."""
         lines, tick = snap
-        self._sets = [[b.clone() for b in line] for line in lines]
+        self._sets = defaultdict(list, {index: [b.clone() for b in line]
+                                        for index, line in lines.items()})
         self._tick = tick
 
     def canonical_state(self):
@@ -120,11 +126,11 @@ class FixedCache:
                 (b.region, b.range.as_tuple(), b.state.value, b.dirty_mask)
                 for b in sorted(line, key=lambda b: b.last_use)
             ))
-            for index, line in enumerate(self._sets) if line
+            for index, line in sorted(self._sets.items()) if line
         )
 
     def check_integrity(self) -> None:
-        for index, line in enumerate(self._sets):
+        for index, line in sorted(self._sets.items()):
             if len(line) > self.ways:
                 raise SimulationError(f"set {index} holds {len(line)} > {self.ways}")
             regions = [b.region for b in line]

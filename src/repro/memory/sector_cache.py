@@ -23,7 +23,8 @@ contiguous valid run, so every engine works unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from collections import defaultdict
+from typing import Callable, DefaultDict, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.wordrange import WordRange
@@ -65,7 +66,9 @@ class SectorCache:
         self.num_sets = sets
         self.ways = ways
         self.words_per_region = words_per_region
-        self._sets: List[List[_SectorFrame]] = [[] for _ in range(sets)]
+        # Keyed by set index and created on first use (a short run touches
+        # few sets); whole-cache walks visit them in ascending index order.
+        self._sets: DefaultDict[int, List[_SectorFrame]] = defaultdict(list)
         self._tick = 0
 
     # -- indexing ----------------------------------------------------------
@@ -124,12 +127,13 @@ class SectorCache:
         return frame.valid_mask() & rng.to_mask()
 
     def __iter__(self) -> Iterator[Block]:
-        for line in self._sets:
+        for _, line in sorted(self._sets.items()):
             for frame in line:
                 yield from frame.blocks
 
     def __len__(self) -> int:
-        return sum(len(frame.blocks) for line in self._sets for frame in line)
+        return sum(len(frame.blocks)
+                   for line in self._sets.values() for frame in line)
 
     # -- mutation ----------------------------------------------------------
 
@@ -178,25 +182,25 @@ class SectorCache:
     def snapshot(self):
         """Opaque copy of the cache contents (blocks cloned both ways)."""
         return (
-            [
-                [(f.region, f.last_use, [b.clone() for b in f.blocks]) for f in line]
-                for line in self._sets
-            ],
+            {
+                index: [(f.region, f.last_use, [b.clone() for b in f.blocks])
+                        for f in line]
+                for index, line in self._sets.items() if line
+            },
             self._tick,
         )
 
     def restore(self, snap) -> None:
         """Reinstate a state captured by :meth:`snapshot`."""
         lines, tick = snap
-        self._sets = []
-        for line in lines:
-            new_line: List[_SectorFrame] = []
+        self._sets = defaultdict(list)
+        for index, line in lines.items():
+            new_line = self._sets[index]
             for region, last_use, blocks in line:
                 frame = _SectorFrame(region)
                 frame.last_use = last_use
                 frame.blocks = [b.clone() for b in blocks]
                 new_line.append(frame)
-            self._sets.append(new_line)
         self._tick = tick
 
     def canonical_state(self):
@@ -217,13 +221,13 @@ class SectorCache:
                 )
                 for f in sorted(line, key=lambda f: f.last_use)
             ))
-            for index, line in enumerate(self._sets) if line
+            for index, line in sorted(self._sets.items()) if line
         )
 
     # -- integrity ---------------------------------------------------------
 
     def check_integrity(self) -> None:
-        for index, line in enumerate(self._sets):
+        for index, line in sorted(self._sets.items()):
             if len(line) > self.ways:
                 raise SimulationError(f"set {index} holds {len(line)} frames")
             regions = [f.region for f in line]

@@ -3,13 +3,20 @@
 import pytest
 
 from repro.common.params import ProtocolKind
-from repro.experiments import runner
+from repro.experiments import runner, table1
+from repro.experiments._engine import (
+    ExperimentEngine,
+    ResultCache,
+    RunSpec,
+    execute_spec,
+)
 from repro.experiments.runner import (
     ALL_PROTOCOLS,
     ExperimentSettings,
     ResultMatrix,
     shared_matrix,
 )
+from repro.store import FsStore
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +62,38 @@ class TestMatrix:
         assert r16.config.words_per_region == 2
         assert r128.config.words_per_region == 16
         assert r16.stats.misses != r128.stats.misses
+
+
+class TestDefaultBlockSizeTwin:
+    """Table 1's 64-B MESI column is the default MESI machine: the matrix
+    serves both cells from one simulation and one cache entry."""
+
+    SETTINGS = ExperimentSettings(cores=4, per_core=60,
+                                  workloads=("histogram",))
+
+    def matrix(self, tmp_path):
+        engine = ExperimentEngine(jobs=1, cache=ResultCache(
+            store=FsStore(tmp_path), enabled=True))
+        return ResultMatrix(self.SETTINGS, engine)
+
+    def test_prewarm_simulates_the_twin_once(self, tmp_path):
+        matrix = self.matrix(tmp_path)
+        matrix.prewarm(block_sizes=table1.BLOCK_SIZES)
+        # 4 protocols + the 16/32/128-B MESI cells; 64 B is MESI's default.
+        assert matrix.engine.executed == 7
+        assert len(list(tmp_path.rglob("*.json"))) == 7
+        matrix.prewarm(block_sizes=table1.BLOCK_SIZES)
+        assert matrix.engine.executed == 7
+
+    def test_twin_equals_default_and_a_direct_run(self, tmp_path):
+        matrix = self.matrix(tmp_path)
+        twin = matrix.run("histogram", ProtocolKind.MESI, block_bytes=64)
+        default = matrix.run("histogram", ProtocolKind.MESI)
+        direct = execute_spec(RunSpec("histogram", ProtocolKind.MESI, 64,
+                                      cores=4, per_core=60, seed=0))
+        assert twin.to_dict() == default.to_dict()
+        assert twin.to_dict() == direct.to_dict()
+        assert matrix.engine.executed == 1
 
 
 class TestSharedMatrix:

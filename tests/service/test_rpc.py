@@ -399,7 +399,9 @@ class TestGetMirrors:
         _, _, url = live
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(url + "/nope", timeout=30.0)
-        assert exc.value.code == 404
+        # The error carries the open response: close its socket.
+        with exc.value:
+            assert exc.value.code == 404
 
 
 class TestRegistry:
