@@ -127,9 +127,10 @@ def run(workload: str,
     observability session whose event trace / metrics / phase timers
     land on the returned :class:`RunResult`.  ``batch`` selects the
     batched packed-trace issue loop (:mod:`repro.system.batch`):
-    ``None`` consults ``REPRO_BATCH`` (default on), ``False`` forces the
-    scalar loop, ``True`` forces batching where eligible — counters are
-    bit-identical either way.
+    ``None`` consults ``REPRO_BATCH`` (default on) and batches only
+    traces long enough to repay it, ``False`` forces the scalar loop,
+    ``True`` forces batching where eligible — counters are bit-identical
+    either way.
     """
     from repro.trace.packed import PackedTrace
 

@@ -107,9 +107,12 @@ def _common_parent() -> argparse.ArgumentParser:
                              "in favour of --store)")
     parent.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="batched packed-trace execution (--no-batch "
-                             "forces the scalar issue loop; default: "
-                             "$REPRO_BATCH, on when unset)")
+                        help="batched packed-trace execution, taken only "
+                             "on traces long enough to repay it (averaging "
+                             "repro.system.batch.MIN_EVENTS_PER_CORE or "
+                             "more accesses per core); --no-batch forces "
+                             "the scalar issue loop (default: $REPRO_BATCH, "
+                             "on when unset)")
     return parent
 
 

@@ -1,7 +1,7 @@
 """``repro.store``: the pluggable blob-storage substrate.
 
-Every durable artifact the pipeline produces — serialized run results,
-packed traces, derived-column sidecars — is a *blob* addressed by a
+Every durable artifact the pipeline produces — serialized run results
+and packed traces — is a *blob* addressed by a
 content-derived key (``results/<digest>.json``, ``traces/<digest>.bin``).
 This package defines the one narrow interface the caches talk to
 (:class:`BlobStore`) and its two backends:

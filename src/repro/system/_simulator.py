@@ -43,8 +43,9 @@ class Simulator:
         self._packed: Optional[PackedTrace] = None
         # Batch execution over packed columns (repro.system.batch):
         # True forces it on, False off, None defers to $REPRO_BATCH
-        # (default on).  Either way the run is bit-identical; ineligible
-        # configurations silently take the scalar loop.
+        # (default on, for traces long enough to repay it).  Either way
+        # the run is bit-identical; ineligible configurations silently
+        # take the scalar loop.
         self._batch = batch
         self._streams: List[Iterator[MemAccess]] = []
         # Observability session (repro.obs): attached to the protocol so

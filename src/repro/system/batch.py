@@ -58,7 +58,9 @@ normally — they are what the ring retains under batching.
 
 Batch mode declines (returning the scalar path, never an error) when
 the stream is not packed, ``REPRO_BATCH=0``, ``check_values`` is on, or
-regions are wider than the 62-word mask columns.
+regions are wider than the 62-word mask columns.  Default mode also
+declines traces shorter than :data:`MIN_EVENTS_PER_CORE` per core or
+less reused than :data:`MIN_REUSE`.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ ENV_FLAG = "REPRO_BATCH"
 #: An explicit ``batch=True`` bypasses the heuristic.
 MIN_REUSE = 4.0
 
+#: Minimum average events per core for *default-mode* batching, checked
+#: before any column is derived.  Deriving, the numpy import and the
+#: runner's set-up are paid per trace and repay themselves only over long
+#: per-core streams of hits (sweep in docs/performance.md, "Batch
+#: execution over packed traces").  Shorter traces run the scalar loop
+#: without deriving columns or importing numpy.  ``batch=True`` bypasses
+#: it.
+MIN_EVENTS_PER_CORE = 512
+
 
 def batch_env_enabled() -> bool:
     return os.environ.get(ENV_FLAG, "1") != "0"
@@ -97,7 +108,9 @@ def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     requested = getattr(sim, "_batch", None)
     if requested is False:
         return False
-    if requested is None and not batch_env_enabled():
+    if requested is None and (
+            not batch_env_enabled()
+            or len(packed) < MIN_EVENTS_PER_CORE * packed.cores):
         return False
     protocol = sim.protocol
     config = protocol.config

@@ -35,10 +35,11 @@ def simulate(streams: Streams, config: SystemConfig,
     :class:`~repro.trace.packed.PackedTrace`; both replay identically
     (the packed form just skips per-event object construction).
 
-    ``batch`` selects the vectorized issue loop for packed streams
+    ``batch`` selects the batched issue loop for packed streams
     (:mod:`repro.system.batch`): ``None`` consults ``REPRO_BATCH``
-    (default on), ``False`` forces the scalar loop, ``True`` forces
-    batch where eligible.  Results are bit-identical either way.
+    (default on) and batches only traces long enough to repay it,
+    ``False`` forces the scalar loop, ``True`` forces batch where
+    eligible.  Results are bit-identical either way.
 
     ``obs`` selects observability (:mod:`repro.obs`): ``None`` consults
     ``REPRO_OBS`` (default off — every hook is then a no-op), ``False``

@@ -25,6 +25,10 @@ generators.  The cache shares the result cache's pluggable blob store
   mid-write kills never produce torn files).
 * **Switches.** ``REPRO_TRACE_CACHE=0`` disables just this cache;
   ``REPRO_CACHE=0`` disables it along with the result cache.
+* **Packed traces only.** Batch execution's derived columns are
+  memoized on the trace object (:func:`repro.trace.derived.derived_for`),
+  not stored.  ``.drv`` sidecars that older builds wrote beside the
+  ``.bin`` are never read; ``repro doctor --prune-to-size`` reclaims them.
 
 The ``root`` path argument of :class:`TraceCache` is deprecated the
 same way as ``ResultCache(root=...)``: it pins an
@@ -111,33 +115,11 @@ class TraceCache:
         digest = trace_digest(workload, cores, per_core, seed)
         return f"{NAMESPACE_TRACES}/{digest}.bin"
 
-    @staticmethod
-    def derived_key_for(workload: str, cores: int, per_core: int, seed: int,
-                        region_bytes: int) -> str:
-        """Sidecar of batch-execution derived columns for one trace.
-
-        Same fan-out as the ``.bin`` it derives from; the ``.drv``
-        suffix keeps it out of the doctor's packed-trace integrity
-        scan, and the embedded format version makes stale layouts
-        unreachable (like the trace digest itself).
-        """
-        from repro.trace.derived import DERIVED_FORMAT_VERSION
-
-        digest = trace_digest(workload, cores, per_core, seed)
-        return (f"{NAMESPACE_TRACES}/{digest}"
-                f".d{region_bytes}.v{DERIVED_FORMAT_VERSION}.drv")
-
     def path_for(self, workload: str, cores: int, per_core: int,
                  seed: int) -> Optional[Path]:
         """Local blob path (``None`` on a remote store)."""
         return self.store.local_path(
             self.key_for(workload, cores, per_core, seed))
-
-    def derived_path_for(self, workload: str, cores: int, per_core: int,
-                         seed: int, region_bytes: int) -> Optional[Path]:
-        return self.store.local_path(
-            self.derived_key_for(workload, cores, per_core, seed,
-                                 region_bytes))
 
     def get(self, workload: str, cores: int, per_core: int,
             seed: int) -> Optional[PackedTrace]:
@@ -177,8 +159,6 @@ class TraceCache:
             self.misses += 1
             return None
         self.hits += 1
-        trace._derived_io = _DerivedStore(self, workload, cores, per_core,
-                                          seed)
         return trace
 
     def put(self, trace: PackedTrace, workload: str, cores: int,
@@ -197,45 +177,7 @@ class TraceCache:
             build_streams(workload, cores=cores, per_core=per_core, seed=seed))
         self.built += 1
         self.put(trace, workload, cores, per_core, seed)
-        trace._derived_io = _DerivedStore(self, workload, cores, per_core,
-                                          seed)
         return trace
-
-
-class _DerivedStore:
-    """Sidecar I/O for one cached trace's derived columns.
-
-    Attached to a :class:`PackedTrace` as ``_derived_io`` and consumed by
-    :func:`repro.trace.derived.derived_for`.  Corrupt or stale sidecars
-    are not quarantined — the consumer validates, rebuilds, and rewrites
-    them (they are cheap, trace-local recomputations, unlike the traces
-    and results themselves).
-    """
-
-    __slots__ = ("cache", "workload", "cores", "per_core", "seed")
-
-    def __init__(self, cache: TraceCache, workload: str, cores: int,
-                 per_core: int, seed: int):
-        self.cache = cache
-        self.workload = workload
-        self.cores = cores
-        self.per_core = per_core
-        self.seed = seed
-
-    def _key(self, region_bytes: int) -> str:
-        return self.cache.derived_key_for(self.workload, self.cores,
-                                          self.per_core, self.seed,
-                                          region_bytes)
-
-    def load(self, region_bytes: int) -> Optional[bytes]:
-        if not self.cache.enabled:
-            return None
-        return self.cache.store.get(self._key(region_bytes))
-
-    def save(self, region_bytes: int, blob: bytes) -> None:
-        if not self.cache.enabled:
-            return
-        self.cache.store.put(self._key(region_bytes), blob)
 
 
 def packed_streams(workload: str, cores: int = 16, per_core: int = 2000,

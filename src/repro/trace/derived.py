@@ -7,8 +7,7 @@ prefix sums of think time / write counts / written-word popcounts so a
 whole span of events can be retired with O(1) arithmetic.  Those columns
 depend only on the trace and the region size, so they are computed once
 per ``(trace, region_bytes)`` — with numpy when it is importable, with
-``array`` + pure-Python loops otherwise — and cached as a binary sidecar
-next to the packed trace (see :class:`~repro.trace._cache.TraceCache`).
+``array`` + pure-Python loops otherwise — and memoized on the trace.
 
 Two global classifications ride along, both trace-level facts:
 
@@ -19,49 +18,19 @@ Events on private or read-only regions commute with other cores'
 transactions as long as they *hit*, which is what lets the batch runner
 execute them ahead of the global clock order.  Every other event sits in
 the per-core ``hard_pos`` index and is replayed in exact heap order.
-
-Bump :data:`DERIVED_FORMAT_VERSION` whenever the sidecar layout or any
-derivation rule changes; the sidecar file name embeds it, so stale files
-simply become unreachable.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.common.addresses import WORD_BYTES
 from repro.common.errors import SimulationError
 
-#: Sidecar-format version; part of every sidecar file name.
-DERIVED_FORMAT_VERSION = 1
-
 #: Masks live in signed 64-bit columns; regions wider than this many
 #: words cannot be batch-executed (the scalar engine handles them).
 MAX_MASK_WORDS = 62
-
-_MAGIC = b"REPRODRV"
-# magic, version, endian, reserved, cores, region_bytes, total_regions
-_HEADER = struct.Struct("<8sBBHIQQ")
-_CORE_HEADER = struct.Struct("<QQQ")  # events, regions, hard events
-_LITTLE, _BIG = 0, 1
-_NATIVE_ENDIAN = _LITTLE if sys.byteorder == "little" else _BIG
-
-#: (attribute, typecode, length rule) of the per-core on-disk layout.
-#: Length rule: "n" = one per event, "n1" = events + 1 (prefix sums),
-#: "h" = one per hard event, "r" = one per distinct region.
-_CORE_ARRAYS: Tuple[Tuple[str, str, str], ...] = (
-    ("region_idx", "i", "n"),
-    ("amask", "q", "n"),
-    ("wmask", "q", "n"),
-    ("think_cum", "q", "n1"),
-    ("writes_cum", "q", "n1"),
-    ("wpop_cum", "q", "n1"),
-    ("hard_pos", "q", "h"),
-    ("region_ids", "q", "r"),
-)
 
 _np = None
 _np_probed = False
@@ -104,10 +73,6 @@ class CoreDerived:
         self.hard_pos = hard_pos
         self.region_ids = region_ids
 
-    @property
-    def events(self) -> int:
-        return len(self.region_idx)
-
 
 class DerivedColumns:
     """Derived columns for every core of one packed trace."""
@@ -119,77 +84,6 @@ class DerivedColumns:
         self.region_bytes = region_bytes
         self.total_regions = total_regions
         self.per_core = per_core
-
-    @property
-    def cores(self) -> int:
-        return len(self.per_core)
-
-    def matches(self, packed) -> bool:
-        """Whether this sidecar describes ``packed`` (shape check)."""
-        if self.cores != packed.cores:
-            return False
-        return [c.events for c in self.per_core] == packed.counts
-
-    # -- binary serialization ------------------------------------------------
-
-    def dumps(self) -> bytes:
-        buf = bytearray()
-        buf += _HEADER.pack(_MAGIC, DERIVED_FORMAT_VERSION, _NATIVE_ENDIAN,
-                            0, self.cores, self.region_bytes,
-                            self.total_regions)
-        for core in self.per_core:
-            buf += _CORE_HEADER.pack(core.events, len(core.region_ids),
-                                     len(core.hard_pos))
-            for name, _code, _rule in _CORE_ARRAYS:
-                buf += getattr(core, name).tobytes()
-        return bytes(buf)
-
-    @classmethod
-    def loads(cls, data: bytes) -> "DerivedColumns":
-        total = len(data)
-        if total < _HEADER.size:
-            raise SimulationError("truncated derived-column header")
-        try:
-            magic, version, endian, _, cores, region_bytes, total_regions = (
-                _HEADER.unpack_from(data, 0))
-        except struct.error as exc:
-            raise SimulationError(f"malformed derived-column header: {exc}")
-        if magic != _MAGIC:
-            raise SimulationError(
-                f"not a derived-column sidecar (magic {magic!r})")
-        if version != DERIVED_FORMAT_VERSION:
-            raise SimulationError(
-                f"derived-column version {version} (this build reads "
-                f"{DERIVED_FORMAT_VERSION})")
-        if endian not in (_LITTLE, _BIG):
-            raise SimulationError(f"derived-column endian flag {endian}")
-        swap = endian != _NATIVE_ENDIAN
-        off = _HEADER.size
-        per_core: List[CoreDerived] = []
-        for _ in range(cores):
-            if total < off + _CORE_HEADER.size:
-                raise SimulationError("truncated derived-column core header")
-            n, r, h = _CORE_HEADER.unpack_from(data, off)
-            off += _CORE_HEADER.size
-            lengths = {"n": n, "n1": n + 1, "h": h, "r": r}
-            arrs = {}
-            for name, typecode, rule in _CORE_ARRAYS:
-                count = lengths[rule]
-                arr = array(typecode)
-                nbytes = count * arr.itemsize
-                if total < off + nbytes:
-                    raise SimulationError(
-                        f"truncated derived-column array {name}")
-                arr.frombytes(data[off:off + nbytes])
-                if swap and arr.itemsize > 1:
-                    arr.byteswap()
-                off += nbytes
-                arrs[name] = arr
-            per_core.append(CoreDerived(**arrs))
-        if off != total:
-            raise SimulationError(
-                f"derived-column size mismatch: {total - off} trailing bytes")
-        return cls(region_bytes, total_regions, per_core)
 
 
 # -- derivation --------------------------------------------------------------
@@ -356,36 +250,13 @@ def _as_array(typecode: str, np_values, np) -> array:
 
 
 def derived_for(packed, region_bytes: int) -> DerivedColumns:
-    """Derived columns for ``packed``, memoized and sidecar-cached.
+    """Derived columns for ``packed``, memoized per trace and region size.
 
-    ``PackedTrace`` carries a per-instance memo (``_derived``) and, when
-    it came out of a :class:`~repro.trace._cache.TraceCache`, a sidecar
-    store (``_derived_io``) that persists the columns beside the packed
-    binary.  A sidecar that fails to parse or does not describe this
-    trace's shape is silently rebuilt and rewritten.
+    ``PackedTrace`` carries the memo (``_derived``), so every run that
+    replays one trace object derives its columns once.
     """
-    memo = getattr(packed, "_derived", None)
-    if memo is not None:
-        cached = memo.get(region_bytes)
-        if cached is not None:
-            return cached
-    io = getattr(packed, "_derived_io", None)
-    derived: Optional[DerivedColumns] = None
-    if io is not None:
-        blob = io.load(region_bytes)
-        if blob is not None:
-            try:
-                candidate = DerivedColumns.loads(blob)
-            except SimulationError:
-                candidate = None
-            if (candidate is not None
-                    and candidate.region_bytes == region_bytes
-                    and candidate.matches(packed)):
-                derived = candidate
+    memo = packed._derived
+    derived = memo.get(region_bytes)
     if derived is None:
-        derived = derive(packed, region_bytes)
-        if io is not None:
-            io.save(region_bytes, derived.dumps())
-    if memo is not None:
-        memo[region_bytes] = derived
+        derived = memo[region_bytes] = derive(packed, region_bytes)
     return derived

@@ -68,16 +68,13 @@ Columns = Tuple[array, array, array, array, array]
 class PackedTrace:
     """Per-core columnar access streams (see module docstring)."""
 
-    __slots__ = ("_cols", "_derived", "_derived_io")
+    __slots__ = ("_cols", "_derived")
 
     def __init__(self, cols: List[Columns]):
         self._cols = cols
-        # Derived-column support (repro.trace.derived): a per-instance
-        # memo keyed by region_bytes, and — when this trace came out of a
-        # TraceCache — a sidecar store that persists the columns next to
-        # the packed binary.  Neither participates in equality.
+        # Derived-column memo (repro.trace.derived), keyed by
+        # region_bytes; it does not participate in equality.
         self._derived: dict = {}
-        self._derived_io = None
 
     # -- construction --------------------------------------------------------
 

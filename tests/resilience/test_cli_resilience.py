@@ -7,12 +7,13 @@ import pytest
 from repro.cli import main
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
+from repro.store import FsStore
 
 
 def seed_cache(root):
     spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                    cores=2, per_core=60, seed=0)
-    cache = ResultCache(root, enabled=True)
+    cache = ResultCache(store=FsStore(root), enabled=True)
     with ExperimentEngine(jobs=1, cache=cache) as engine:
         engine.run(spec)
     return cache.path_for(spec)

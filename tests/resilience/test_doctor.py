@@ -10,6 +10,7 @@ from repro.resilience.doctor import (
     run_doctor,
 )
 from repro.resilience.storage import quarantine_dir
+from repro.store import FsStore
 from repro.trace._cache import TraceCache
 
 SPEC = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
@@ -19,7 +20,7 @@ RECIPE = dict(workload="histogram", cores=2, per_core=60, seed=0)
 
 @pytest.fixture()
 def result_root(tmp_path):
-    cache = ResultCache(tmp_path / "results", enabled=True)
+    cache = ResultCache(store=FsStore(tmp_path / "results"), enabled=True)
     with ExperimentEngine(jobs=1, cache=cache) as engine:
         engine.run(SPEC)
     return cache.root
@@ -27,7 +28,8 @@ def result_root(tmp_path):
 
 @pytest.fixture()
 def trace_root(tmp_path):
-    cache = TraceCache(tmp_path / "traces", enabled=True)
+    cache = TraceCache(store=FsStore(trace_root=tmp_path / "traces"),
+                       enabled=True)
     cache.get_or_build(**RECIPE)
     return cache.root
 
@@ -127,7 +129,8 @@ class TestRunDoctor:
         """The default trace cache nests under the result root; its temp
         files must be attributed to the trace audit only."""
         nested_traces = result_root / "traces"
-        cache = TraceCache(nested_traces, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=nested_traces),
+                           enabled=True)
         cache.get_or_build(**RECIPE)
         (nested_traces / "leftover.tmp").write_bytes(b"x")
         report = run_doctor(result_root, nested_traces)

@@ -15,6 +15,7 @@ import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.resilience.journal import SweepJournal
+from repro.store import FsStore
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -28,6 +29,7 @@ CHILD = textwrap.dedent("""\
     from repro.common.params import ProtocolKind
     from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
     from repro.resilience.journal import SweepJournal
+    from repro.store import FsStore
 
     specs = [RunSpec(workload="histogram", protocol=protocol, cores=2,
                      per_core=80, seed=seed)
@@ -35,7 +37,8 @@ CHILD = textwrap.dedent("""\
              for protocol in (ProtocolKind.MESI, ProtocolKind.PROTOZOA_MW)]
     journal = SweepJournal({journal!r})
     engine = ExperimentEngine(jobs=1,
-                              cache=ResultCache({cache!r}, enabled=True),
+                              cache=ResultCache(store=FsStore({cache!r}),
+                                                enabled=True),
                               journal=journal)
     for spec in specs:
         engine.run(spec)
@@ -78,7 +81,8 @@ class TestSigkillResume:
         resumed = journal.resumed
         assert 1 <= resumed < len(SPECS)
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(cache_root, enabled=True),
+                              cache=ResultCache(store=FsStore(cache_root),
+                                                enabled=True),
                               journal=journal) as engine:
             results = engine.run_many(SPECS)
             # Journaled completions come back as cache hits; at most the
@@ -91,7 +95,7 @@ class TestSigkillResume:
 
         # The resumed matrix is identical to a from-scratch reference.
         with ExperimentEngine(jobs=1,
-                              cache=ResultCache(tmp_path / "ref",
+                              cache=ResultCache(store=FsStore(tmp_path / "ref"),
                                                 enabled=True)) as engine:
             reference = engine.run_many(SPECS)
         assert ({s.digest(): r.to_dict() for s, r in results.items()} ==

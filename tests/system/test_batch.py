@@ -11,15 +11,26 @@ internals.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common.params import ProtocolKind, SystemConfig
 from repro.system import batch as batch_mod
 from repro.system.machine import simulate
+from repro.trace.events import MemAccess
 from repro.trace.packed import PackedTrace
 from repro.trace.workloads import build_streams
 
 from tests.conftest import ALL_KINDS
+
+SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 WORKLOADS = ("kmeans", "histogram", "linear-regression", "fft")
 
@@ -91,6 +102,27 @@ class _Boom:
         raise AssertionError("batched runner ran where it should decline")
 
 
+def _no_derive(*args, **kwargs):
+    raise AssertionError("derived columns built for a declined trace")
+
+
+#: Two workloads' worth of a cold report (4 protocols + Table 1's block
+#: sizes), serially in a fresh process, at perfbench's report scale.
+SHORT_REPORT = textwrap.dedent("""\
+    import json, sys
+    from repro.experiments import table1
+    from repro.experiments._engine import ExperimentEngine
+    from repro.experiments.runner import ExperimentSettings, ResultMatrix
+
+    settings = ExperimentSettings(cores=16, per_core=25,
+                                  workloads=("histogram", "kmeans"))
+    with ExperimentEngine(jobs=1) as engine:
+        ResultMatrix(settings, engine).prewarm(table1.BLOCK_SIZES)
+    print(json.dumps({"executed": engine.executed,
+                      "numpy": "numpy" in sys.modules}))
+""")
+
+
 class TestEligibility:
     def test_env_flag_off_declines(self, monkeypatch):
         monkeypatch.setenv(batch_mod.ENV_FLAG, "0")
@@ -108,13 +140,44 @@ class TestEligibility:
                               check_values=True)
         simulate(packed("kmeans"), config, batch=True)
 
+    def test_short_trace_declines_before_deriving(self, monkeypatch):
+        # 16 cores x 25 accesses: below MIN_EVENTS_PER_CORE, so default
+        # mode takes the scalar loop without deriving a single column.
+        monkeypatch.delenv(batch_mod.ENV_FLAG, raising=False)
+        monkeypatch.setattr(batch_mod, "derived_for", _no_derive)
+        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
+        trace = packed("kmeans", cores=16, per_core=25)
+        result = simulate(trace, config_for(ProtocolKind.MESI, cores=16))
+        assert result.stats.accesses == 16 * 25
+
+    def test_long_high_reuse_trace_batches_by_default(self, monkeypatch):
+        ran = []
+
+        class Spy(batch_mod._BatchRunner):
+            def run(self):
+                ran.append(True)
+                super().run()
+
+        monkeypatch.delenv(batch_mod.ENV_FLAG, raising=False)
+        monkeypatch.setattr(batch_mod, "_BatchRunner", Spy)
+        # Each core re-reads its own 8 regions: reuse far above MIN_REUSE.
+        per_core = batch_mod.MIN_EVENTS_PER_CORE
+        streams = [[MemAccess.read(c * 0x10000 + 64 * (i % 8))
+                    for i in range(per_core)] for c in range(4)]
+        trace = PackedTrace.from_streams(streams)
+        config = config_for(ProtocolKind.MESI)
+        default = simulate(trace, config).stats.to_dict()
+        assert ran
+        assert default == simulate(trace, config,
+                                   batch=False).stats.to_dict()
+
     def test_low_reuse_declines_by_default_but_not_forced(self, monkeypatch):
         # One access per (core, region) pair: reuse is 1.0, far below
-        # MIN_REUSE, so default mode must take the scalar loop ...
-        from repro.trace.events import MemAccess
-
-        streams = [[MemAccess.read((c * 100 + i) * 64) for i in range(50)]
-                   for c in range(4)]
+        # MIN_REUSE, so default mode must take the scalar loop — on a
+        # trace long enough to pass the length gate ...
+        per_core = batch_mod.MIN_EVENTS_PER_CORE
+        streams = [[MemAccess.read((c * per_core + i) * 64)
+                    for i in range(per_core)] for c in range(4)]
         trace = PackedTrace.from_streams(streams)
         config = config_for(ProtocolKind.MESI)
         monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
@@ -125,10 +188,23 @@ class TestEligibility:
         assert batched == scalar
 
     def test_unpacked_streams_decline(self, monkeypatch):
-        from repro.trace.events import MemAccess
-
         monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
         streams = [[MemAccess.read(8 * i) for i in range(10)]]
         result = simulate(streams, config_for(ProtocolKind.MESI, cores=1),
                           batch=True)
         assert result.stats.accesses == 10
+
+    def test_short_report_never_imports_numpy(self, tmp_path):
+        # numpy only speeds up deriving columns, which a short trace
+        # never needs: a cold serial report at 16 x 25 must not load it.
+        env = dict(os.environ, PYTHONPATH=SRC_DIR,
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   REPRO_TRACE_CACHE_DIR=str(tmp_path / "traces"))
+        for name in (batch_mod.ENV_FLAG, "REPRO_STORE", "REPRO_OBS"):
+            env.pop(name, None)
+        child = subprocess.run([sys.executable, "-c", SHORT_REPORT],
+                               env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+        outcome = json.loads(child.stdout.splitlines()[-1])
+        assert outcome["executed"] > 0
+        assert outcome["numpy"] is False

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import repro.trace._cache as trace_cache_mod
+from repro.store import FsStore
 from repro.trace._cache import (
     TraceCache,
     packed_streams,
@@ -40,7 +41,8 @@ class TestDigest:
 
 class TestCache:
     def test_build_then_hit(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=True)
         first = cache.get_or_build(**RECIPE)
         assert cache.built == 1 and cache.misses == 1 and cache.hits == 0
         second = cache.get_or_build(**RECIPE)
@@ -51,14 +53,16 @@ class TestCache:
                           per_core=RECIPE["per_core"], seed=RECIPE["seed"]))
 
     def test_layout_fans_out_by_digest_prefix(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=True)
         cache.get_or_build(**RECIPE)
         digest = trace_digest(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
         assert (tmp_path / digest[:2] / f"{digest}.bin").exists()
 
     def test_corrupt_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -70,7 +74,8 @@ class TestCache:
         assert PackedTrace.load(path) == good
 
     def test_truncated_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -80,7 +85,8 @@ class TestCache:
         assert cache.built == 2
 
     def test_empty_entry_degrades_to_rebuild(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=True)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=True)
         good = cache.get_or_build(**RECIPE)
         path = cache.path_for(RECIPE["workload"], RECIPE["cores"],
                               RECIPE["per_core"], RECIPE["seed"])
@@ -88,21 +94,22 @@ class TestCache:
         assert cache.get_or_build(**RECIPE) == good
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=False)
+        cache = TraceCache(store=FsStore(trace_root=tmp_path),
+                           enabled=False)
         cache.get_or_build(**RECIPE)
         assert not any(tmp_path.iterdir())
 
     def test_repro_cache_env_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert TraceCache(tmp_path).enabled is False
+        assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is False
 
     def test_repro_trace_cache_env_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert TraceCache(tmp_path).enabled is True
+        assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is True
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         monkeypatch.delenv("REPRO_CACHE")
-        assert TraceCache(tmp_path).enabled is False
+        assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is False
 
 
 class TestLocation:
