@@ -307,7 +307,6 @@ def cmd_bench(args) -> int:
     jobs = _apply_common(args)
     report = run_bench(quick=args.quick, jobs=jobs,
                        out_path=args.out,
-                       record_baseline=args.record_baseline,
                        journal_path=args.journal or None,
                        resume=args.resume)
     print(render(report))
@@ -793,9 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit nonzero unless the measured enabled-vs-"
                         "disabled observability overhead is below PCT "
                         "percent (and the parity guarantees hold)")
-    p.add_argument("--record-baseline", action="store_true",
-                   help="re-record benchmarks/baseline_protozoa.json from this "
-                        "machine's microbenchmark")
     _add_journal_args(p)
     p.set_defaults(fn=cmd_bench)
 

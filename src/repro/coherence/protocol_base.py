@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MsgType
-from repro.common.addresses import AddressMap
+from repro.common.addresses import WORD_BYTES, AddressMap
 from repro.common.errors import InvariantViolation, ProtocolError, SimulationError
 from repro.common.params import (CONTROL_MESSAGE_BYTES, L1Organization,
                                  ProtocolKind, SystemConfig)
@@ -82,6 +82,9 @@ class CoherenceProtocol:
         # never change after construction, and attribute chains through the
         # frozen config dataclasses are measurably expensive per access.
         self._hit_latency = config.l1.hit_latency
+        self._l2_hit_latency = config.l2.hit_latency
+        self._memory_latency = config.memory_latency
+        self._words_per_region = config.words_per_region
         self._check_invariants = config.check_invariants
         self._check_values = config.check_values
         # (core, words-mask) per dirty supplier of the current transaction;
@@ -291,7 +294,7 @@ class CoherenceProtocol:
                 obs_events._open = None
             else:
                 obs_events.begin(core, is_write, addr, size, pc)
-        latency = self._miss(core, is_write, region, rng, pc, covered_r & mask)
+        latency = self._miss(core, is_write, region, rng, pc)
         if is_write:
             self._do_write(core, region, rng)
         else:
@@ -355,58 +358,62 @@ class CoherenceProtocol:
         return landed
 
     def _miss(self, core: int, is_write: bool, region: int, rng: WordRange,
-              pc: int, covered_readable: int) -> int:
+              pc: int) -> int:
         mshr = self.mshrs[core]
         mshr.allocate(region)
         try:
             req = self._request_range(core, region, rng, is_write, pc)
-            if not req.covers(rng):
-                req = req.span(rng)
             # The new block will merge with every resident block it
             # overlaps, so coherence permission must be acquired for the
             # whole merged span (iterate to a fixpoint: spanning can pull
-            # in further blocks).  If any merged-in block is writable, the
-            # merged block stays M, so the request must be exclusive even
-            # for a load (read-for-ownership merge).
+            # in further blocks).  ``span`` returns its receiver when that
+            # already covers the block, so an unwidened ``req`` is the
+            # same object.
             l1 = self.l1s[core]
             while True:
+                overlapping = l1.overlapping(region, req)
                 wider = req
-                for block in l1.overlapping(region, req):
+                for block in overlapping:
                     wider = wider.span(block.range)
-                if wider == req:
+                if wider is req:
                     break
                 req = wider
-            exclusive = is_write or any(
-                b.state.writable for b in l1.overlapping(region, req)
-            )
-            payload_mask = req.to_mask() & ~self._readable_mask(core, region, req)
-            upgrade = is_write and payload_mask == 0
-            if upgrade:
-                self.stats.upgrade_misses += 1
+            # The last scan holds the blocks the new one merges with.  If
+            # any is writable, the merged block stays M, so the request
+            # must be exclusive even for a load (read-for-ownership
+            # merge); words already readable are not sent again.
+            exclusive = is_write
+            readable = 0
+            for block in overlapping:
+                state = block.state
+                if state is not LineState.I:
+                    readable |= block.range.mask
+                    if state is LineState.M or state is LineState.E:
+                        exclusive = True
+            payload_mask = req.mask & ~readable
+            stats = self.stats
+            if is_write and payload_mask == 0:
+                stats.upgrade_misses += 1
             elif is_write:
-                self.stats.write_misses += 1
+                stats.write_misses += 1
             else:
-                self.stats.read_misses += 1
+                stats.read_misses += 1
             latency, granted = self._serve_miss(core, region, req, exclusive, pc, payload_mask)
             values = self.l2.read(region, req)
+            # ``overlapping`` still describes this core's blocks of the
+            # region: _serve_miss's probes touch only other cores' L1s,
+            # and an L2 recall it triggers touches only other regions.
             self._install(core, region, req, values, granted, pc, rng.start,
-                          payload_mask, exclusive)
-            self.stats.miss_latency_total += latency
-            self.stats.miss_latency.record(latency)
-            return self.config.l1.hit_latency + latency
+                          payload_mask, exclusive, overlapping)
+            stats.miss_latency_total += latency
+            stats.miss_latency.record(latency)
+            return self._hit_latency + latency
         finally:
             mshr.release(region)
 
-    def _readable_mask(self, core: int, region: int, req: WordRange) -> int:
-        have = 0
-        for block in self.l1s[core].overlapping(region, req):
-            if block.state.readable:
-                have |= block.range.to_mask()
-        return have & req.to_mask()
-
     def _request_range(self, core: int, region: int, rng: WordRange,
                        is_write: bool, pc: int) -> WordRange:
-        """Storage/communication granularity for this miss."""
+        """Storage/communication granularity for this miss (covers ``rng``)."""
         predictor = self.predictors[core]
         if predictor is None:
             return self.amap.full_range()
@@ -427,7 +434,13 @@ class CoherenceProtocol:
         latency = self._send(req_type, core_node, home)
         latency += self._l2_fetch(region, home)
         self._txn_suppliers = []
-        legs = self._probe(core, region, req, is_write, entry, home)
+        # An entry that tracks no core has nobody to probe: every
+        # protocol's _probe would return no legs and record nothing, and
+        # with no leg there is no 3-hop supplier.
+        if entry.readers or entry.writers:
+            legs = self._probe(core, region, req, is_write, entry, home)
+        else:
+            legs = ()
         granted = self._grant(core, region, req, is_write, entry)
         obs_events = self._obs_events
         if obs_events is not None:
@@ -435,7 +448,8 @@ class CoherenceProtocol:
             if rec is not None:
                 rec[F_GRANTED] = granted.name
         payload_words = popcount(payload_mask)
-        supplier = self._three_hop_supplier(payload_mask) if payload_words else None
+        supplier = (self._three_hop_supplier(payload_mask)
+                    if payload_words and legs else None)
         if supplier is not None:
             # 3-hop: the single dirty owner forwards the data directly; the
             # home shrinks its reply to a completion ACK.  The requester
@@ -445,12 +459,12 @@ class CoherenceProtocol:
             supplier_node = self.topology.core_node(sup_core)
             direct = snoop_lat + self._send(MsgType.DATA, supplier_node,
                                             core_node, payload_words)
-            completion = max(legs) + self.config.l2.hit_latency if legs else 0
+            completion = max(legs) + self._l2_hit_latency
             self._send(MsgType.ACK, home, core_node)  # overlapped completion
             latency += max(direct, completion)
         else:
             if legs:
-                latency += max(legs) + self.config.l2.hit_latency
+                latency += max(legs) + self._l2_hit_latency
             if payload_words:
                 latency += self._send(MsgType.DATA, home, core_node, payload_words)
             else:
@@ -486,11 +500,17 @@ class CoherenceProtocol:
     # ------------------------------------------------------------------
 
     def _send(self, mtype: MsgType, src_node: int, dst_node: int,
-              payload_words: int = 0, used_payload_words: int = 0,
-              at_l1: bool = True) -> int:
-        """Record one message; returns its network latency."""
-        size = mtype.size_bytes(payload_words)
-        latency = self.net.transfer(src_node, dst_node, size)
+              payload_words: int = 0, used_payload_words: int = 0) -> int:
+        """Record one message; returns its network latency.
+
+        What the message does to the counters is fixed per type (see
+        :mod:`repro.coherence.messages`), so the only call per message is
+        the network accountant's ``transfer``.
+        """
+        if payload_words and not mtype.carries_data:
+            raise ValueError(f"{mtype.label} cannot carry data")
+        latency = self.net.transfer(
+            src_node, dst_node, CONTROL_MESSAGE_BYTES + payload_words * WORD_BYTES)
         if self.trace_hook is not None:
             self.trace_hook(mtype, src_node, dst_node, payload_words)
         obs_events = self._obs_events
@@ -502,33 +522,27 @@ class CoherenceProtocol:
             if rec is not None:
                 rec[F_MSGS].append(
                     [mtype.label, src_node, dst_node, payload_words])
-        if at_l1:
-            self.stats.traffic.control[mtype.control_key] += CONTROL_MESSAGE_BYTES
-            if payload_words and mtype in (MsgType.WBACK, MsgType.WBACK_LAST):
-                self.stats.data_words(used_payload_words, payload_words - used_payload_words)
-        if mtype in (MsgType.INV, MsgType.FWD_GETX):
-            self.stats.invalidations_sent += 1
-        elif mtype is MsgType.NACK:
-            self.stats.nacks += 1
-        elif mtype is MsgType.ACK_S:
-            self.stats.ack_s += 1
+        stats = self.stats
+        if mtype.at_l1:
+            stats.traffic.control[mtype.control_key] += CONTROL_MESSAGE_BYTES
+            if mtype.writeback_data:
+                stats.data_words(used_payload_words, payload_words - used_payload_words)
+        counter = mtype.stat_counter
+        if counter is not None:
+            setattr(stats, counter, getattr(stats, counter) + 1)
         return latency
 
     def _l2_fetch(self, region: int, home: int) -> int:
         """L2 bank access, fetching the region from memory when absent."""
-        latency = self.config.l2.hit_latency
-        if not self.l2.present(region):
-            mem = self.topology.memory_node(home)
-            latency += self._send(MsgType.MEM_READ, home, mem, at_l1=False)
-            latency += self.config.memory_latency
-            latency += self._send(
-                MsgType.MEM_DATA, mem, home, self.config.words_per_region, at_l1=False
-            )
-            self.l2.ensure_present(region)
-            latency += self.config.l2.hit_latency
-        else:
-            self.l2.ensure_present(region)
-        return latency
+        l2 = self.l2
+        if l2.present(region):
+            l2.ensure_present(region)
+            return self._l2_hit_latency
+        mem = self.topology.memory_node(home)
+        latency = self._send(MsgType.MEM_READ, home, mem) + self._memory_latency
+        latency += self._send(MsgType.MEM_DATA, mem, home, self._words_per_region)
+        l2.ensure_present(region)
+        return latency + 2 * self._l2_hit_latency
 
     def _probe_leg_latency(self, home: int, target: int, blocks: int,
                            request_lat: int, reply_lat: int) -> int:
@@ -636,19 +650,17 @@ class CoherenceProtocol:
 
     def _install(self, core: int, region: int, req: WordRange, values: List[int],
                  granted: LineState, pc: int, miss_word: int, payload_mask: int,
-                 is_write: bool) -> None:
+                 is_write: bool, overlapping: List[Block]) -> None:
+        """Merge ``req`` with the ``overlapping`` resident blocks and insert."""
         l1 = self.l1s[core]
-        overlapping = l1.overlapping(region, req)
         self.mshrs[core].note_multi_block(from_cpu=True, blocks=len(overlapping) + 1)
-        merged = req
-        # ``values`` is a fresh copy of the L2's words of ``req``: with
-        # nothing to merge it is the new block's data as it stands.
+        # ``req`` already spans every overlapping block (the fixpoint in
+        # _miss).  ``values`` is a fresh copy of the L2's words of ``req``:
+        # with nothing to merge it is the new block's data as it stands.
         data = values
         if overlapping:
-            for block in overlapping:
-                merged = merged.span(block.range)
             data = []
-            for word in merged.words():
+            for word in req.words():
                 old = next((b for b in overlapping if b.range.contains(word)), None)
                 if old is not None:
                     data.append(old.value(word))
@@ -671,12 +683,12 @@ class CoherenceProtocol:
         if refetched:
             used_now = popcount(refetched & touched)
             self.stats.data_words(used_now, popcount(refetched) - used_now)
-        new_block = Block(region, merged, state, data, pc, miss_word)
+        new_block = Block(region, req, state, data, pc, miss_word)
         new_block.touched_mask = touched
         new_block.dirty_mask = dirty
         new_block.fetched_mask = old_fetched | payload_mask
         l1.insert(new_block, lambda victim: self._on_evict(core, victim, region))
-        self.stats.record_install(merged.width)
+        self.stats.record_install(req.width)
         self.stats.fills += 1
         self.stats.fill_words += popcount(payload_mask)
 
@@ -738,8 +750,7 @@ class CoherenceProtocol:
                 self._invalidate_region_at(target, region, home, MsgType.INV)
         if self.l2.is_dirty(region):
             mem = self.topology.memory_node(home)
-            self._send(MsgType.MEM_WRITE, home, mem,
-                       self.config.words_per_region, at_l1=False)
+            self._send(MsgType.MEM_WRITE, home, mem, self._words_per_region)
         self.directory.forget(region)
 
     # ------------------------------------------------------------------

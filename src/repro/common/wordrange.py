@@ -6,7 +6,8 @@ range never spans a region boundary, so both endpoints are small
 non-negative integers (``0..words_per_region-1``).
 
 ``WordRange`` is immutable and hashable so it can be used as a dict key and
-stored safely in sets; all combining operations return new ranges.
+stored safely in sets; combining operations return new ranges, or an
+operand unchanged when it already is the answer.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ class WordRange:
         return WordRange(lo, hi)
 
     def span(self, other: "WordRange") -> "WordRange":
-        """The smallest range covering both inputs (fills any gap)."""
+        """The smallest range covering both inputs (fills any gap); an
+        operand that already covers the other is returned, ``self`` first."""
+        if self.start <= other.start and other.end <= self.end:
+            return self
+        if other.start <= self.start and self.end <= other.end:
+            return other
         return WordRange(min(self.start, other.start), max(self.end, other.end))
 
     def subtract(self, other: "WordRange") -> List["WordRange"]:

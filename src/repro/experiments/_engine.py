@@ -329,9 +329,9 @@ class ExperimentEngine:
     The worker pool is created lazily on the first fan-out and persists
     for the engine's lifetime; ``close()`` (or using the engine as a
     context manager) shuts it down, and a dropped engine cleans up via a
-    finalizer.  ``warm_pool()`` spins the workers up eagerly — call it
-    before a timed region so pool start-up is not attributed to the
-    sweep being measured.
+    finalizer.  ``warm_pool()`` creates the pool eagerly; its workers
+    start on the first submit, so a caller timing a region submits a
+    no-op per worker first (as ``repro bench`` does).
 
     Failure handling (see docs/resilience.md): a failed or stalled chunk
     is retried in later rounds under the engine's

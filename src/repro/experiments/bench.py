@@ -10,8 +10,7 @@ Times five things and writes them to ``BENCH_protozoa.json``:
   the worker pool into a second empty cache, then replayed against that
   now-populated cache (a warm sweep must be 100% cache hits);
 * **single-run microbenchmark** — accesses/second through one simulation
-  (the coherence transaction hot path, packed replay), compared against
-  the pre-PR baseline recorded in ``benchmarks/baseline_protozoa.json``;
+  (the coherence transaction hot path, packed replay);
 * **observability overhead** — the same microbenchmark with ``repro.obs``
   forced off and then fully on.  The timed sweeps always run with
   ``REPRO_OBS`` popped from the environment, so the numbers above measure
@@ -39,7 +38,9 @@ Schema 4 added the ``batch`` section and records ``parallel_speedup`` as
 process noise, not fan-out performance).  Schema 5 adds
 ``obs_overhead.batch_obs`` — the batch-with-observability identity and
 engagement maps gated by ``--assert-batch-identical`` and the new
-``--assert-obs-overhead PCT`` threshold on ``overhead_pct``.
+``--assert-obs-overhead PCT`` threshold on ``overhead_pct``.  Schema 6
+drops ``single_run``'s comparison with a recorded baseline
+(``baseline_accesses_per_sec``, ``improvement_pct``).
 
 Sweeps run against *scratch* result and trace caches, so the serial and
 parallel phases both replay prebuilt packed traces and differ only in
@@ -50,9 +51,7 @@ worker count it actually used.
 ``--quick`` shrinks the matrix for CI smoke runs; ``--assert-warm`` fails
 the invocation unless the warm sweep never missed the cache *and* (with
 more than one job) the cold parallel sweep kept up with serial —
-``--min-parallel-speedup`` sets that bar (default 1.0);
-``--record-baseline`` re-records the microbenchmark baseline for this
-machine (do this once per hardware change, before optimization work).
+``--min-parallel-speedup`` sets that bar (default 1.0).
 """
 
 from __future__ import annotations
@@ -77,28 +76,14 @@ from repro.experiments.runner import ALL_PROTOCOLS
 from repro.store import FsStore
 from repro.trace._cache import TraceCache
 
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
 
-#: Microbenchmark recipe — keep in lockstep with benchmarks/baseline_protozoa.json
-#: (comparing against a baseline recorded under a different recipe is noise).
+#: Microbenchmark recipe of the single-run, batch and observability phases.
 MICROBENCH = RunSpec(workload="kmeans", protocol=ProtocolKind.PROTOZOA_MW,
                      cores=16, per_core=2000, seed=0)
 
 QUICK_WORKLOADS = ("kmeans", "histogram")
 FULL_WORKLOADS = ("kmeans", "histogram", "fft", "blackscholes")
-
-
-def baseline_path() -> Path:
-    """benchmarks/baseline_protozoa.json at the repository root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "baseline_protozoa.json"
-
-
-def load_baseline() -> Optional[float]:
-    try:
-        with open(baseline_path()) as fh:
-            return float(json.load(fh)["accesses_per_sec"])
-    except (OSError, ValueError, KeyError):
-        return None
 
 
 def matrix_specs(workloads, cores: int, per_core: int, seed: int = 0) -> List[RunSpec]:
@@ -136,7 +121,12 @@ def time_sweep(specs: List[RunSpec], jobs: int, cache_root: Path,
                               journal=journal)
     try:
         pool_start = time.perf_counter()
-        engine.warm_pool()
+        pool = engine.warm_pool()
+        if pool is not None:
+            # The executor forks its workers on first submit: start them
+            # all here, so the sweep's clock times none of that.
+            for future in [pool.submit(os.getpid) for _ in range(engine.jobs)]:
+                future.result()
         pool_warm = time.perf_counter() - pool_start
         start = time.perf_counter()
         results = engine.run_many(specs)
@@ -336,7 +326,6 @@ def measure_obs_overhead(spec: RunSpec, repeats: int) -> Dict:
 
 def run_bench(quick: bool = False, jobs: Optional[int] = None,
               out_path: str = "BENCH_protozoa.json",
-              record_baseline: bool = False,
               journal_path: Optional[str] = None,
               resume: bool = False) -> Dict:
     jobs = default_jobs() if jobs is None else max(1, jobs)
@@ -366,9 +355,9 @@ def run_bench(quick: bool = False, jobs: Optional[int] = None,
     old_trace_dir = os.environ.get("REPRO_TRACE_CACHE_DIR")
     os.environ["REPRO_TRACE_CACHE_DIR"] = str(scratch / "traces")
     # Observability must not leak into the timed sweeps: an ambient
-    # REPRO_OBS=1 would tax every run (and every pool worker) and make the
-    # baseline comparison meaningless.  measure_obs_overhead() re-enables
-    # it deliberately, inside its own timed region.
+    # REPRO_OBS=1 would tax every run (and every pool worker).
+    # measure_obs_overhead() re-enables it deliberately, inside its own
+    # timed region.
     old_obs = os.environ.pop("REPRO_OBS", None)
     try:
         resumed = len(journal) if journal is not None else 0
@@ -394,32 +383,6 @@ def run_bench(quick: bool = False, jobs: Optional[int] = None,
             journal.close()
         if not keep_scratch:
             shutil.rmtree(scratch, ignore_errors=True)
-
-    if record_baseline:
-        payload = {
-            "comment": "Pre-optimization hot-path baseline for `repro bench`. "
-                       "Recorded with `repro bench --record-baseline` before the "
-                       "transaction-loop optimization landed; re-record on new "
-                       "hardware to keep the improvement number meaningful.",
-            "microbench": {
-                "workload": MICROBENCH.workload,
-                "protocol": MICROBENCH.protocol.value,
-                "cores": MICROBENCH.cores,
-                "per_core": MICROBENCH.per_core,
-                "seed": MICROBENCH.seed,
-                "repeats": repeats,
-            },
-            "accesses_per_sec": single["accesses_per_sec"],
-        }
-        with open(baseline_path(), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    baseline = load_baseline()
-    single["baseline_accesses_per_sec"] = baseline
-    single["improvement_pct"] = (
-        round(100.0 * (single["accesses_per_sec"] / baseline - 1.0), 1)
-        if baseline else None
-    )
 
     report = {
         "schema": BENCH_SCHEMA,
@@ -505,13 +468,6 @@ def render(report: Dict) -> str:
         f"single run:             {single['accesses_per_sec']:,.0f} accesses/s "
         f"({single['workload']}/{single['protocol']})",
     ]
-    if single["baseline_accesses_per_sec"]:
-        lines.append(
-            f"vs recorded baseline:   {single['baseline_accesses_per_sec']:,.0f} "
-            f"accesses/s ({single['improvement_pct']:+.1f}%)")
-    else:
-        lines.append("vs recorded baseline:   (no baseline recorded; run "
-                     "`repro bench --record-baseline`)")
     phases = report.get("phases")
     if phases:
         lines.append(

@@ -18,11 +18,13 @@ class NetworkAccountant:
     def __init__(self, topology: MeshTopology):
         self.topology = topology
         self.config: NetworkConfig = topology.config
-        # transfer() runs once per message: bind what it reads once.
+        # transfer() runs once per message: bind what it reads once.  Each
+        # route is (hops, head latency): the head flit's per-hop (link +
+        # router) pipeline plus the destination router.
         self._flit_bytes = self.config.flit_bytes
-        self._hop_table = topology.hop_table
-        self._router_latency = self.config.router_latency
-        self._per_hop = self.config.link_latency + self._router_latency
+        per_hop = self.config.link_latency + self.config.router_latency
+        self._routes = [[(hops, hops * per_hop + self.config.router_latency)
+                         for hops in row] for row in topology.hop_table]
         self.total_flits = 0
         self.total_flit_hops = 0
         self.total_messages = 0
@@ -53,13 +55,15 @@ class NetworkAccountant:
     def transfer(self, src_node: int, dst_node: int, size_bytes: int) -> int:
         """Record one message on the network; returns its network latency.
 
-        Latency = per-hop (link + router) pipeline plus serialization of the
-        tail flits.  A self-send (src == dst, e.g. a core whose home tile is
-        its own) costs the router traversal only and no flit-hops.
+        Latency = the route's head latency (per-hop link + router pipeline,
+        plus the destination router) plus serialization of the tail flits.
+        A self-send (src == dst, e.g. a core whose home tile is its own)
+        has no hops: it costs the router traversal and the tail flits, and
+        adds no flit-hops.
         """
         fb = self._flit_bytes
         flits = (size_bytes + fb - 1) // fb if size_bytes > 0 else 0
-        hops = self._hop_table[src_node][dst_node]
+        hops, head = self._routes[src_node][dst_node]
         self.total_messages += 1
         self.total_flits += flits
         self.total_flit_hops += flits * hops
@@ -81,8 +85,7 @@ class NetworkAccountant:
                 f[flits] += 1
         if self.observer is not None:
             self.observer(hops, flits)
-        return (hops * self._per_hop + (flits - 1 if flits else 0)
-                + self._router_latency)
+        return head + flits - 1 if flits else head
 
     def snapshot(self) -> dict:
         return {

@@ -27,12 +27,18 @@ class LatencyHistogram:
     def record(self, latency: int) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        index = min(max(latency.bit_length() - 1, 0), self.max_exponent)
+        index = latency.bit_length() - 1
+        if index > self.max_exponent:
+            index = self.max_exponent
+        elif index < 0:
+            index = 0
         self.buckets[index] += 1
         self.count += 1
         self.total += latency
-        self.min = latency if self.min is None else min(self.min, latency)
-        self.max = latency if self.max is None else max(self.max, latency)
+        if self.min is None or latency < self.min:
+            self.min = latency
+        if self.max is None or latency > self.max:
+            self.max = latency
 
     @property
     def mean(self) -> float:

@@ -181,9 +181,7 @@ class TestJobsFlag:
                           "warm_all_hits": True},
                 "single_run": {"workload": "kmeans", "protocol": "protozoa-mw",
                                "cores": 16, "per_core": 2000, "repeats": 3,
-                               "accesses": 1, "accesses_per_sec": 1.0,
-                               "baseline_accesses_per_sec": None,
-                               "improvement_pct": None},
+                               "accesses": 1, "accesses_per_sec": 1.0},
             }
 
         monkeypatch.setattr("repro.experiments.bench.run_bench", fake_run_bench)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.coherence.messages import MsgCategory, MsgType
+from repro.common.params import ProtocolKind
+
+from tests.conftest import make_engine
 
 
 class TestSizes:
@@ -53,3 +56,57 @@ class TestProtozoaAdditions:
     def test_labels_unique(self):
         labels = [m.label for m in MsgType]
         assert len(labels) == len(set(labels))
+
+
+class TestPerTypeEffects:
+    """The counters a send touches are fixed per type when the enum is built."""
+
+    def test_only_memory_messages_are_off_the_l1_boundary(self):
+        off = {m for m in MsgType if not m.at_l1}
+        assert off == {MsgType.MEM_READ, MsgType.MEM_DATA, MsgType.MEM_WRITE}
+
+    def test_only_inv_and_fwd_getx_count_as_invalidations(self):
+        invalidating = {m for m in MsgType
+                        if m.stat_counter == "invalidations_sent"}
+        assert invalidating == {MsgType.INV, MsgType.FWD_GETX}
+
+    def test_nack_and_ack_s_have_their_own_counters(self):
+        assert MsgType.NACK.stat_counter == "nacks"
+        assert MsgType.ACK_S.stat_counter == "ack_s"
+        counted = {m for m in MsgType if m.stat_counter is not None}
+        assert counted == {MsgType.INV, MsgType.FWD_GETX, MsgType.NACK,
+                           MsgType.ACK_S}
+
+    def test_only_writebacks_carry_writeback_data(self):
+        assert {m for m in MsgType if m.writeback_data} == {
+            MsgType.WBACK, MsgType.WBACK_LAST}
+
+    @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.label)
+    def test_send_bumps_exactly_its_counters(self, mtype):
+        p = make_engine(ProtocolKind.PROTOZOA_MW, cores=2)
+        before = p.stats.to_dict()
+        words = 2 if mtype.carries_data else 0
+        latency = p._send(mtype, 0, 1, words, 1 if words else 0)
+        after = p.stats.to_dict()
+        assert latency == p.net.transfer(0, 1, mtype.size_bytes(words))
+        changed = {k for k in after if after[k] != before[k]}
+        expected = set()
+        if mtype.at_l1:
+            expected.add("traffic")
+        if mtype.stat_counter is not None:
+            expected.add(mtype.stat_counter)
+            assert after[mtype.stat_counter] == before[mtype.stat_counter] + 1
+        assert changed == expected
+        traffic = after["traffic"]
+        if mtype.at_l1:
+            assert traffic["control"][mtype.control_key] == 8
+        data = traffic["used_data"] + traffic["unused_data"]
+        assert data == (8 * words if mtype.writeback_data else 0)
+
+    @pytest.mark.parametrize("mtype", [m for m in MsgType if not m.carries_data],
+                             ids=lambda m: m.label)
+    def test_send_rejects_payload_on_control(self, mtype):
+        p = make_engine(ProtocolKind.MESI, cores=2)
+        with pytest.raises(ValueError, match="cannot carry data"):
+            p._send(mtype, 0, 1, 1)
+        assert p.net.total_messages == 0

@@ -74,6 +74,14 @@ class TestCombining:
     def test_span_fills_gap(self):
         assert WordRange(0, 1).span(WordRange(5, 6)) == WordRange(0, 6)
 
+    def test_span_returns_a_covering_operand(self):
+        # The miss path's merge fixpoint stops on ``wider is req``.
+        a, b = WordRange(0, 7), WordRange(2, 5)
+        assert a.span(b) is a
+        assert b.span(a) is a
+        assert a.span(WordRange(0, 7)) is a
+        assert WordRange(2, 5).span(WordRange(4, 6)) == WordRange(2, 6)
+
     def test_subtract_middle_splits(self):
         parts = WordRange(0, 7).subtract(WordRange(3, 4))
         assert parts == [WordRange(0, 2), WordRange(5, 7)]

@@ -62,3 +62,35 @@ class TestTransfer:
         acc.transfer(0, 1, 16)
         snap = acc.snapshot()
         assert snap == {"messages": 1, "flits": 1, "flit_hops": 1}
+
+
+class TestRouteTable:
+    """transfer() against the closed form on every route of two meshes."""
+
+    def _check_mesh(self, width, height):
+        acc = accountant(mesh_width=width, mesh_height=height)
+        link, router = acc.config.link_latency, acc.config.router_latency
+        for src in range(acc.topology.nodes):
+            for dst in range(acc.topology.nodes):
+                hops = (abs(src % width - dst % width)
+                        + abs(src // width - dst // width))
+                for words in range(17):
+                    flits = acc.flits(8 + 8 * words)
+                    before = acc.total_flit_hops
+                    latency = acc.transfer(src, dst, 8 + 8 * words)
+                    assert latency == (hops * (link + router) + router
+                                       + flits - 1)
+                    assert acc.total_flit_hops - before == flits * hops
+
+    def test_4x4_mesh(self):
+        self._check_mesh(4, 4)
+
+    def test_2x4_mesh(self):
+        self._check_mesh(2, 4)
+
+    def test_self_send_charges_tail_flits(self):
+        acc = accountant()
+        router = acc.config.router_latency
+        assert acc.transfer(5, 5, 8) == router
+        assert acc.transfer(5, 5, 72) == router + 4  # 5 flits
+        assert acc.total_flit_hops == 0
