@@ -36,9 +36,8 @@ Layers
 * storage — the :class:`BlobStore` interface with its :class:`FsStore`
   / :class:`HttpStore` backends and :func:`configure_store`, which
   points every cache this process builds (and every pool worker it
-  forks) at one store URL; see docs/distributed.md.  The ``root`` path
-  arguments of :class:`ResultCache` / ``TraceCache`` are deprecated
-  shims over an :class:`FsStore`;
+  forks) at one store URL; see docs/distributed.md.  A local tree is
+  ``ResultCache(store=FsStore(path))``, never a bare path;
 * the sweep service — :func:`serve` runs the HTTP/JSON-RPC front end
   with its durable job queue, :class:`ServiceClient` talks to one
   (``client.sweep(specs)`` is the remote equivalent of :func:`sweep`);

@@ -240,9 +240,9 @@ def _resolve_journal(args) -> Optional["SweepJournal"]:
 
     path = getattr(args, "journal", "")
     if not path and getattr(args, "resume", False):
-        from repro.experiments._engine import default_cache_dir
+        from repro.store.fs import default_result_root
 
-        path = str(default_cache_dir() / "journal.jsonl")
+        path = str(default_result_root() / "journal.jsonl")
     if not path:
         return None
     journal = SweepJournal(path)
@@ -587,29 +587,24 @@ def _parse_size(text: str) -> int:
 
 def cmd_doctor(args) -> int:
     """Audit cache/trace-store integrity; exit nonzero on problems."""
-    from pathlib import Path
-
     from repro.resilience.doctor import run_doctor
+    from repro.store import FsStore, get_store
 
     _apply_common(args)
-    store = None
-    if args.store:
-        # Audit through the store interface — same checks, any backend,
-        # including a remote `repro serve` (--store http://host:port).
-        from repro.store import get_store
-
-        store = get_store()
+    # --store (configured above) audits any backend, including a remote
+    # `repro serve`; otherwise the local trees, which an FsStore serves.
+    store = (get_store() if args.store
+             else FsStore(args.cache_dir or None,
+                          trace_root=args.trace_dir or None))
     try:
         budget = _parse_size(args.prune_to_size) if args.prune_to_size else None
     except ValueError as exc:
         raise SystemExit(f"--prune-to-size: {exc}")
     report = run_doctor(
-        result_root=Path(args.cache_dir) if args.cache_dir else None,
-        trace_root=Path(args.trace_dir) if args.trace_dir else None,
+        store,
         fix=args.fix,
         prune_older_than_days=(args.prune_older_than
                                if args.prune_older_than > 0 else None),
-        store=store,
         prune_to_size_bytes=budget,
     )
     print(report.render())
@@ -879,8 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(entries, temp orphans, quarantine)",
                        parents=[_common_parent()])
     p.add_argument("--cache-dir", default="",
-                   help="result cache root to audit "
-                        "(default REPRO_CACHE_DIR or ~/.cache/repro)")
+                   help="result cache root to audit (default "
+                        "REPRO_CACHE_DIR or ~/.cache/repro); its trace "
+                        "tree is --trace-dir, else REPRO_TRACE_CACHE_DIR, "
+                        "else <cache-dir>/traces")
     p.add_argument("--fix", action="store_true",
                    help="remove orphaned temp files and quarantine corrupt "
                         "entries (payloads are never deleted)")

@@ -11,10 +11,11 @@ content-addressed by the full run recipe:
   ``SCHEMA_VERSION``; bumping the version invalidates every cached entry
   (the only invalidation rule — bump it whenever a change alters simulated
   outcomes or the serialized layout).
-* **ResultCache** — ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``),
-  one JSON file per digest under a two-hex-char fan-out directory.
-  Entries are written atomically (temp file + rename) so concurrent
-  engines never observe torn results.  ``REPRO_CACHE=0`` disables it.
+* **ResultCache** — one JSON blob per digest in the blob store
+  (:mod:`repro.store`; by default an ``FsStore`` over
+  ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``).  Writes are atomic
+  (temp file + rename) so concurrent engines never observe torn
+  results.  ``REPRO_CACHE=0`` disables it.
 * **ExperimentEngine** — cache-aware execution.  ``run()`` serves one
   spec; ``run_many()`` fans cache misses out over a persistent
   ``ProcessPoolExecutor`` sized by ``$REPRO_JOBS`` (default: all cores),
@@ -29,7 +30,7 @@ The fan-out path is built so pool overhead stays off the hot path:
 * specs are submitted in **chunks** so task IPC amortizes over several
   simulations;
 * workers replay **packed traces** from the content-addressed trace
-  cache (:mod:`repro.trace.cache`) instead of regenerating workload
+  cache (:mod:`repro.trace._cache`) instead of regenerating workload
   streams, and return one compact JSON blob per result, which the
   parent writes to the result cache verbatim (one parse to build the
   in-memory ``RunResult``, no dict round-trip).
@@ -53,7 +54,6 @@ import json
 import hashlib
 import os
 import time
-import warnings
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -68,11 +68,11 @@ from repro.resilience.journal import SweepJournal
 from repro.resilience.lease import LeaseBoard
 from repro.resilience.log import warn as resilience_warn
 from repro.resilience.retry import RetryPolicy
-from repro.store import NAMESPACE_RESULTS, BlobStore, FsStore, get_store
-from repro.store.fs import default_result_root
+from repro.store import NAMESPACE_RESULTS, BlobStore, get_store
+from repro.store.fs import default_trace_root
 from repro.system.machine import simulate
 from repro.system.results import RunResult
-from repro.trace._cache import packed_streams, trace_cache_dir
+from repro.trace._cache import packed_streams
 from repro.trace.workloads import build_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
@@ -193,10 +193,6 @@ def _worker_run_chunk(payloads: List[Dict]) -> List[str]:
             for payload in payloads]
 
 
-def default_cache_dir() -> Path:
-    return default_result_root()
-
-
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
@@ -230,25 +226,10 @@ class ResultCache:
     exists but does not parse): corrupt blobs quarantine through the
     store — never silently deleted — and the miss triggers a fresh run
     that rewrites the entry.  ``REPRO_CACHE=0`` disables it.
-
-    .. deprecated::
-        The ``root`` path argument is a compatibility shim that pins an
-        :class:`~repro.store.FsStore` at that path; pass ``store=``
-        (or call :func:`repro.store.configure_store`) instead.
     """
 
-    def __init__(self, root: Optional[Path] = None,
-                 enabled: Optional[bool] = None,
+    def __init__(self, *, enabled: Optional[bool] = None,
                  store: Optional[BlobStore] = None):
-        if root is not None:
-            if store is not None:
-                raise TypeError("pass either root= (deprecated) or store=, "
-                                "not both")
-            warnings.warn(
-                "ResultCache(root=...) is deprecated; pass "
-                "store=FsStore(root) or configure_store(...)",
-                DeprecationWarning, stacklevel=2)
-            store = FsStore(Path(root))
         self._store = store
         self.enabled = cache_enabled() if enabled is None else enabled
         self.hits = 0
@@ -260,11 +241,6 @@ class ResultCache:
         """The backend in effect (pinned at construction, else the
         process-wide :func:`repro.store.get_store` resolved per use)."""
         return self._store if self._store is not None else get_store()
-
-    @property
-    def root(self) -> Optional[Path]:
-        """The local cache root, when the backend has one (legacy)."""
-        return getattr(self.store, "root", None)
 
     @staticmethod
     def key_for(spec: RunSpec) -> str:
@@ -381,7 +357,7 @@ class ExperimentEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_pool_init,
-                initargs=(str(trace_cache_dir()),
+                initargs=(str(default_trace_root()),
                           os.environ.get("REPRO_BATCH", ""),
                           os.environ.get("REPRO_STORE", ""),
                           os.environ.get("REPRO_STORE_TIMEOUT", "")),

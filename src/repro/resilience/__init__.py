@@ -15,15 +15,17 @@ guarantee:
 * **recovery machinery** — :class:`~repro.resilience.retry.RetryPolicy`
   (per-task deadlines, bounded retries with a seeded exponential
   backoff schedule), automatic worker-pool rebuilds with graceful
-  degradation to serial execution, corrupt-blob quarantine
-  (:mod:`~repro.resilience.storage` — never silent deletion), and the
+  degradation to serial execution, crash-atomic writes
+  (:mod:`~repro.resilience.storage`), corrupt-blob quarantine through
+  the blob store (:meth:`repro.store.BlobStore.quarantine` — never
+  silent deletion), and the
   :class:`~repro.resilience.journal.SweepJournal` that lets an
   interrupted sweep resume where it stopped (``--resume``);
 * **operator tooling** — ``repro chaos``
   (:mod:`~repro.resilience.chaos`: run a sweep under a fault plan and
   assert the final matrix is bit-identical to a fault-free run) and
-  ``repro doctor`` (:mod:`~repro.resilience.doctor`: cache/trace-dir
-  integrity audit).
+  ``repro doctor`` (:mod:`~repro.resilience.doctor`: the blob-store
+  integrity audit, local tree or remote).
 
 Every counter the machinery bumps lands in the process-wide
 :func:`repro.obs.metrics.process_registry` or the engine's own
@@ -48,12 +50,7 @@ from repro.resilience.faults import (
 from repro.resilience.journal import SweepJournal
 from repro.resilience.lease import LeaseBoard, default_lease_ttl, lease_dir_for
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.storage import (
-    durable_replace,
-    quarantine_dir,
-    quarantine_file,
-    read_quarantine_manifest,
-)
+from repro.resilience.storage import durable_replace
 
 __all__ = [
     "FAULT_SITES",
@@ -73,8 +70,5 @@ __all__ = [
     "durable_replace",
     "get_injector",
     "lease_dir_for",
-    "quarantine_dir",
-    "quarantine_file",
-    "read_quarantine_manifest",
     "reset_injector",
 ]

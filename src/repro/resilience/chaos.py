@@ -97,11 +97,7 @@ def run_chaos(faults: str = "",
         default_jobs,
     )
     from repro.experiments.bench import matrix_specs
-    from repro.resilience.doctor import (
-        check_result_cache,
-        check_result_store,
-        check_trace_cache,
-    )
+    from repro.resilience.doctor import check_result_store, check_trace_store
     from repro.store import FsStore, parse_store_url
 
     plan = FaultPlan.parse(faults or DEFAULT_FAULTS).with_seed(seed)
@@ -144,8 +140,8 @@ def run_chaos(faults: str = "",
         journal = SweepJournal(scratch / "journal.jsonl")
         policy = RetryPolicy(max_retries=retries, backoff_base_s=0.01,
                              timeout_s=timeout_s, seed=seed)
-        faulted_store = (parse_store_url(store) if store
-                         else FsStore(scratch / "faulted"))
+        local = FsStore(scratch / "faulted", trace_root=scratch / "traces")
+        faulted_store = parse_store_url(store) if store else local
         faulted_cache = ResultCache(store=faulted_store, enabled=True)
         with ExperimentEngine(jobs=jobs, cache=faulted_cache,
                               retry=policy, journal=journal) as engine:
@@ -164,12 +160,11 @@ def run_chaos(faults: str = "",
 
         # Phase 3: leak audit — every surviving cache entry must be intact
         # (corruption belongs in quarantine, not in the fan-out dirs).
-        # An explicit store is audited through the interface (for a
-        # tiered store that is its local tier — the side the faulted
-        # sweep actually read from).
-        audit = ((check_result_store(faulted_store) if store
-                  else check_result_cache(scratch / "faulted"))
-                 + check_trace_cache(scratch / "traces"))
+        # Results are audited where the faulted sweep wrote them (for a
+        # tiered store, its local tier — the side the sweep read from);
+        # traces always live in the scratch trace tree.
+        audit = (check_result_store(faulted_store)
+                 + check_trace_store(local))
         leaks: List[str] = [line for check in audit if not check.ok
                             for line in check.details]
     finally:

@@ -1,40 +1,34 @@
-"""``repro doctor``: cache/trace-store integrity audit.
+"""``repro doctor``: the blob-store integrity audit.
 
-Walks the result cache and the packed trace cache and verifies what the
-hot paths assume:
+Audits the result and packed-trace namespaces of one
+:class:`repro.store.BlobStore` — an :class:`~repro.store.FsStore` over
+the local cache trees by default, or any ``--store`` backend, so a
+remote shared ``repro serve`` store gets exactly the same checks — and
+verifies what the hot paths assume:
 
-* every ``.json`` result entry parses back into a ``RunResult`` and
-  lives in the fan-out directory matching its digest;
-* every ``.bin`` packed trace passes the full format check
-  (:func:`repro.trace.packed.verify_file`) and its format version is
-  current;
+* the store is reachable (one connectivity check, first in the report);
+* every result blob parses back into a ``RunResult`` and every packed
+  trace passes the full format check
+  (:func:`repro.trace.packed.verify_file`, format version included);
+* no blob sits in a fan-out directory other than its digest prefix
+  (the backend's ``layout`` check);
 * no orphaned ``*.tmp`` files linger from interrupted writers;
-* the ``quarantine/`` directories are inventoried (manifest entries vs
-  actual files), so quarantined corruption is visible, not forgotten.
+* the ``quarantine/`` areas are inventoried (manifest entries vs actual
+  files), so quarantined corruption is visible, not forgotten.
 
 Read-only by default; ``--fix`` deletes orphaned temp files and moves
-corrupt entries into quarantine (never plain deletion of a payload).
-The process exits nonzero when any check fails, which makes the command
-usable as a CI/cron health probe.
+corrupt or misfiled blobs into quarantine (never plain deletion of a
+payload).  The process exits nonzero when any check fails, which makes
+the command usable as a CI/cron health probe.
 
-The audit has two equivalent front doors:
-
-* the historical **path-based** functions (``check_result_cache(root)``,
-  ``check_trace_cache(root)``, ``prune_cache(root, ...)``) that walk a
-  local directory tree directly;
-* the **store-based** functions (``check_result_store(store)``,
-  ``check_trace_store(store)``, ``prune_store(store, ...)``) that audit
-  through the :class:`repro.store.BlobStore` interface — so ``repro
-  doctor --store http://host:port`` inspects, quarantines, and prunes a
-  remote shared store with exactly the same checks as a local one.
-
-``--prune-older-than DAYS`` adds garbage collection: cache entries whose
-last write is older than the cutoff are evicted so a long-running
-service's cache directory stays bounded.  Every eviction is logged to
-the cache's ``GC_MANIFEST.jsonl`` (path, mtime, age) *before* the
-unlink, so the history of what GC removed survives; the ``quarantine/``
-directory is never pruned — quarantined blobs are evidence, and only a
-human deletes evidence.
+``--prune-older-than DAYS`` adds garbage collection: blobs whose last
+write is older than the cutoff are evicted so a long-running service's
+cache stays bounded, and ``--prune-to-size BYTES`` evicts
+least-recently-written blobs until the store fits a budget.  Every
+eviction is logged to the namespace's ``GC_MANIFEST.jsonl`` (path,
+mtime, age) *before* the delete, so the history of what GC removed
+survives; quarantine is never pruned — quarantined blobs are evidence,
+and only a human deletes evidence.
 """
 
 from __future__ import annotations
@@ -46,15 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-GC_MANIFEST_NAME = "GC_MANIFEST.jsonl"
-
 from repro.resilience.log import warn as resilience_warn
-from repro.resilience.storage import (
-    QUARANTINE_DIRNAME,
-    quarantine_dir,
-    quarantine_file,
-    read_quarantine_manifest,
-)
 
 
 @dataclass
@@ -75,6 +61,8 @@ class CheckResult:
 
 @dataclass
 class DoctorReport:
+    """The audit's sections; the first is always the connectivity probe."""
+
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -86,251 +74,14 @@ class DoctorReport:
         for check in self.checks:
             lines.append(f"[{'PASS' if check.ok else 'FAIL'}] {check.name}")
             lines.extend(f"    {line}" for line in check.details)
-        lines.append("")
-        probe = next((check for check in self.checks
-                      if check.name.endswith(": connectivity")), None)
-        tail = ""
-        if probe is not None:
-            tail = (" (store reachable)" if probe.ok
-                    else " (store UNREACHABLE)")
-        lines.append("doctor: "
-                     f"{'all checks passed' if self.ok else 'PROBLEMS FOUND'}"
-                     f"{tail}")
+        verdict = "all checks passed" if self.ok else "PROBLEMS FOUND"
+        reach = "reachable" if self.checks[0].ok else "UNREACHABLE"
+        lines += ["", f"doctor: {verdict} (store {reach})"]
         return "\n".join(lines)
 
 
-def _payload_files(root: Path, suffix: str) -> List[Path]:
-    """Cache entries under the two-hex-char fan-out dirs (not quarantine)."""
-    files: List[Path] = []
-    if not root.is_dir():
-        return files
-    for child in sorted(root.iterdir()):
-        if not child.is_dir() or child.name == QUARANTINE_DIRNAME:
-            continue
-        files.extend(sorted(child.glob(f"*{suffix}")))
-    return files
-
-
-def _tmp_files(root: Path, exclude: Optional[Path] = None) -> List[Path]:
-    if not root.is_dir():
-        return []
-    found = (p for p in root.rglob("*.tmp")
-             if QUARANTINE_DIRNAME not in p.parts)
-    if exclude is not None:
-        found = (p for p in found if not _is_under(p, exclude))
-    return sorted(found)
-
-
-def _is_under(path: Path, ancestor: Path) -> bool:
-    try:
-        path.relative_to(ancestor)
-    except ValueError:
-        return False
-    return True
-
-
-def _check_orphans(root: Path, label: str, fix: bool,
-                   exclude: Optional[Path] = None) -> CheckResult:
-    check = CheckResult(f"{label}: orphaned temp files")
-    orphans = _tmp_files(root, exclude)
-    if not orphans:
-        check.note("none")
-        return check
-    for orphan in orphans:
-        if fix:
-            try:
-                orphan.unlink()
-                check.note(f"removed {orphan}")
-            except OSError as exc:
-                check.fail(f"could not remove {orphan}: {exc}")
-        else:
-            check.fail(f"{orphan} (interrupted writer; --fix removes it)")
-    return check
-
-
-def _check_quarantine(root: Path, label: str) -> CheckResult:
-    check = CheckResult(f"{label}: quarantine inventory")
-    qdir = quarantine_dir(root)
-    entries = read_quarantine_manifest(root)
-    files = ([p for p in sorted(qdir.iterdir())
-              if p.is_file() and p.name != "MANIFEST.jsonl"]
-             if qdir.is_dir() else [])
-    if not files and not entries:
-        check.note("empty")
-        return check
-    check.note(f"{len(files)} quarantined blob(s), "
-               f"{len(entries)} manifest entr(ies)")
-    manifest_names = {entry.get("file") for entry in entries}
-    for path in files:
-        reason = next((entry.get("reason", "?") for entry in entries
-                       if entry.get("file") == path.name), None)
-        if reason is None:
-            check.note(f"{path.name}: no manifest entry")
-        else:
-            check.note(f"{path.name}: {reason}")
-    for name in sorted(manifest_names - {p.name for p in files}):
-        if name:
-            check.note(f"{name}: listed in manifest but blob is gone")
-    return check
-
-
-def check_result_cache(root: Path, fix: bool = False,
-                       exclude: Optional[Path] = None) -> List[CheckResult]:
-    from repro.system.results import RunResult
-
-    label = f"result cache {root}"
-    entries = CheckResult(f"{label}: entry integrity")
-    files = _payload_files(root, ".json")
-    if not root.is_dir():
-        entries.note("directory absent (nothing cached yet)")
-        return [entries]
-    good = 0
-    for path in files:
-        problem = None
-        if path.parent.name != path.name[:2]:
-            problem = "fan-out directory does not match digest prefix"
-        else:
-            try:
-                with open(path) as fh:
-                    RunResult.from_dict(json.load(fh))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                problem = f"{type(exc).__name__}: {exc}"
-        if problem is None:
-            good += 1
-            continue
-        if fix:
-            moved = quarantine_file(root, path, problem)
-            entries.note(f"{path.name}: {problem} -> quarantined"
-                         if moved else f"{path.name}: {problem} "
-                                       "(quarantine FAILED)")
-            if moved is None:
-                entries.ok = False
-        else:
-            entries.fail(f"{path.name}: {problem}")
-    entries.note(f"{good}/{len(files)} entries verified")
-    return [entries,
-            _check_orphans(root, label, fix, exclude=exclude),
-            _check_quarantine(root, label)]
-
-
-def check_trace_cache(root: Path, fix: bool = False) -> List[CheckResult]:
-    from repro.trace.packed import verify_file
-
-    label = f"trace cache {root}"
-    entries = CheckResult(f"{label}: packed-trace integrity")
-    if not root.is_dir():
-        entries.note("directory absent (nothing cached yet)")
-        return [entries]
-    files = _payload_files(root, ".bin")
-    good = 0
-    for path in files:
-        if path.parent.name != path.name[:2]:
-            ok, reason = False, "fan-out directory does not match digest prefix"
-        else:
-            ok, reason = verify_file(path)
-        if ok:
-            good += 1
-            continue
-        if fix:
-            moved = quarantine_file(root, path, reason)
-            entries.note(f"{path.name}: {reason} -> quarantined"
-                         if moved else f"{path.name}: {reason} "
-                                       "(quarantine FAILED)")
-            if moved is None:
-                entries.ok = False
-        else:
-            entries.fail(f"{path.name}: {reason}")
-    entries.note(f"{good}/{len(files)} traces verified")
-    return [entries,
-            _check_orphans(root, label, fix),
-            _check_quarantine(root, label)]
-
-
-def _gc_log(root: Path, entry: dict) -> None:
-    """Durably append one eviction record to the cache's GC manifest."""
-    manifest = root / GC_MANIFEST_NAME
-    manifest.parent.mkdir(parents=True, exist_ok=True)
-    with open(manifest, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def read_gc_manifest(root: Path) -> List[dict]:
-    """Parsed GC manifest entries (tolerating a torn final line)."""
-    entries: List[dict] = []
-    try:
-        with open(Path(root) / GC_MANIFEST_NAME, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue
-    except OSError:
-        pass
-    return entries
-
-
-def prune_cache(root: Path, suffix: str, older_than_days: float,
-                label: str, now: Optional[float] = None) -> CheckResult:
-    """Evict cache entries whose last write predates the cutoff.
-
-    Only payload files in the fan-out directories are candidates —
-    ``quarantine/`` is never touched, and each eviction is manifest-
-    logged before the unlink.  Emptied fan-out directories are removed
-    (best-effort) so a pruned cache does not accumulate husks.
-    """
-    check = CheckResult(
-        f"{label}: GC (older than {older_than_days:g} day(s))")
-    now = time.time() if now is None else now
-    cutoff = now - older_than_days * 86400.0
-    root = Path(root)
-    if not root.is_dir():
-        check.note("directory absent (nothing to prune)")
-        return check
-    pruned = kept = 0
-    freed = 0
-    for path in _payload_files(root, suffix):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue  # a concurrent writer/GC got there first
-        if stat.st_mtime >= cutoff:
-            kept += 1
-            continue
-        entry = {
-            "file": str(path.relative_to(root)),
-            "bytes": stat.st_size,
-            "mtime": stat.st_mtime,
-            "age_days": round((now - stat.st_mtime) / 86400.0, 3),
-            "pruned_at": now,
-            "pid": os.getpid(),
-        }
-        _gc_log(root, entry)
-        try:
-            path.unlink()
-        except OSError as exc:
-            check.fail(f"could not evict {path.name}: {exc}")
-            continue
-        pruned += 1
-        freed += stat.st_size
-        try:
-            path.parent.rmdir()  # only succeeds once the fan-out dir empties
-        except OSError:
-            pass
-    check.note(f"{pruned} entr(ies) evicted ({freed} B freed), {kept} kept")
-    if pruned:
-        check.note(f"evictions logged to {root / GC_MANIFEST_NAME}")
-    return check
-
-
-# -- store-based audit (any BlobStore backend) -------------------------------
-
-def _check_store_orphans(store, namespace: str, label: str,
-                         fix: bool) -> CheckResult:
+def _check_orphans(store, namespace: str, label: str,
+                   fix: bool) -> CheckResult:
     check = CheckResult(f"{label}: orphaned temp files")
     orphans = store.orphans(namespace)
     if not orphans:
@@ -347,7 +98,7 @@ def _check_store_orphans(store, namespace: str, label: str,
     return check
 
 
-def _check_store_quarantine(store, namespace: str, label: str) -> CheckResult:
+def _check_quarantine(store, namespace: str, label: str) -> CheckResult:
     check = CheckResult(f"{label}: quarantine inventory")
     inventory = store.quarantine_inventory(namespace)
     files = inventory.get("files", [])
@@ -368,8 +119,8 @@ def _check_store_quarantine(store, namespace: str, label: str) -> CheckResult:
     return check
 
 
-def _check_store_layout(store, namespace: str, label: str,
-                        fix: bool) -> CheckResult:
+def _check_layout(store, namespace: str, label: str,
+                  fix: bool) -> CheckResult:
     check = CheckResult(f"{label}: layout")
     problems = store.structural_check(namespace, fix=fix)
     if not problems:
@@ -385,8 +136,8 @@ def _check_store_layout(store, namespace: str, label: str,
     return check
 
 
-def _check_store_entries(store, namespace: str, suffix: str, label: str,
-                         title: str, fix: bool, parse) -> CheckResult:
+def _check_entries(store, namespace: str, suffix: str, label: str,
+                   title: str, fix: bool, parse) -> CheckResult:
     """Shared entry-integrity walk: every payload blob must ``parse``.
 
     ``parse(key, raw_or_path)`` raises on damage; it receives the local
@@ -431,7 +182,7 @@ class _VerifyFailure(Exception):
 
 
 def check_result_store(store, fix: bool = False) -> List[CheckResult]:
-    """The result-cache audit, through the store interface."""
+    """The result-namespace audit."""
     from repro.system.results import RunResult
 
     def parse(key, src):
@@ -440,16 +191,16 @@ def check_result_store(store, fix: bool = False) -> List[CheckResult]:
 
     label = f"result store {store.url()}"
     return [
-        _check_store_entries(store, "results", ".json", label,
-                             "entry integrity", fix, parse),
-        _check_store_layout(store, "results", label, fix),
-        _check_store_orphans(store, "results", label, fix),
-        _check_store_quarantine(store, "results", label),
+        _check_entries(store, "results", ".json", label,
+                       "entry integrity", fix, parse),
+        _check_layout(store, "results", label, fix),
+        _check_orphans(store, "results", label, fix),
+        _check_quarantine(store, "results", label),
     ]
 
 
 def check_trace_store(store, fix: bool = False) -> List[CheckResult]:
-    """The packed-trace audit, through the store interface."""
+    """The packed-trace-namespace audit."""
     from repro.trace.packed import PackedTrace, verify_file
 
     def parse(key, src):
@@ -462,21 +213,40 @@ def check_trace_store(store, fix: bool = False) -> List[CheckResult]:
 
     label = f"trace store {store.url()}"
     return [
-        _check_store_entries(store, "traces", ".bin", label,
-                             "packed-trace integrity", fix, parse),
-        _check_store_layout(store, "traces", label, fix),
-        _check_store_orphans(store, "traces", label, fix),
-        _check_store_quarantine(store, "traces", label),
+        _check_entries(store, "traces", ".bin", label,
+                       "packed-trace integrity", fix, parse),
+        _check_layout(store, "traces", label, fix),
+        _check_orphans(store, "traces", label, fix),
+        _check_quarantine(store, "traces", label),
     ]
+
+
+def _evict(store, key: str, size: int, mtime: float, now: float,
+           check: CheckResult, **extra) -> bool:
+    """Log one eviction to the namespace's GC manifest, then delete."""
+    namespace, name = key.split("/", 1)
+    store.gc_log(namespace, {
+        "file": f"{name[:2]}/{name}",
+        "bytes": size,
+        "mtime": mtime,
+        "age_days": round((now - mtime) / 86400.0, 3),
+        "pruned_at": now,
+        "pid": os.getpid(),
+        **extra,
+    })
+    if store.delete(key):
+        return True
+    check.fail(f"could not evict {name}")
+    return False
 
 
 def prune_store(store, namespace: str, suffix: str, older_than_days: float,
                 label: str, now: Optional[float] = None) -> CheckResult:
-    """:func:`prune_cache` through the store interface.
+    """Evict one namespace's blobs whose last write predates the cutoff.
 
-    Same contract: only payload blobs are candidates, quarantine is
-    untouchable, and every eviction lands in the namespace's GC
-    manifest *before* the delete.
+    Only payload blobs are candidates, quarantine is untouchable, and
+    every eviction lands in the namespace's GC manifest *before* the
+    delete.
     """
     check = CheckResult(
         f"{label}: GC (older than {older_than_days:g} day(s))")
@@ -492,20 +262,9 @@ def prune_store(store, namespace: str, suffix: str, older_than_days: float,
         if stat.mtime >= cutoff:
             kept += 1
             continue
-        name = key.split("/", 1)[1]
-        store.gc_log(namespace, {
-            "file": f"{name[:2]}/{name}",
-            "bytes": stat.size,
-            "mtime": stat.mtime,
-            "age_days": round((now - stat.mtime) / 86400.0, 3),
-            "pruned_at": now,
-            "pid": os.getpid(),
-        })
-        if not store.delete(key):
-            check.fail(f"could not evict {name}")
-            continue
-        pruned += 1
-        freed += stat.size
+        if _evict(store, key, stat.size, stat.mtime, now, check):
+            pruned += 1
+            freed += stat.size
     check.note(f"{pruned} entr(ies) evicted ({freed} B freed), {kept} kept")
     if pruned:
         check.note(f"evictions logged to the {namespace} GC manifest")
@@ -556,22 +315,10 @@ def prune_store_to_size(store, budget_bytes: int, label: str,
         for mtime, key, size in candidates:
             if total - freed <= budget_bytes:
                 break
-            namespace, name = key.split("/", 1)
-            store.gc_log(namespace, {
-                "file": f"{name[:2]}/{name}",
-                "bytes": size,
-                "mtime": mtime,
-                "age_days": round((now - mtime) / 86400.0, 3),
-                "pruned_at": now,
-                "pid": os.getpid(),
-                "reason": "size-budget",
-                "budget_bytes": budget_bytes,
-            })
-            if not store.delete(key):
-                check.fail(f"could not evict {name}")
-                continue
-            evicted += 1
-            freed += size
+            if _evict(store, key, size, mtime, now, check,
+                      reason="size-budget", budget_bytes=budget_bytes):
+                evicted += 1
+                freed += size
     remaining = total - freed
     check.note(f"{evicted} entr(ies) evicted ({freed} B freed), "
                f"{remaining} B remain of {budget_bytes} B budget")
@@ -589,7 +336,7 @@ def prune_store_to_size(store, budget_bytes: int, label: str,
 
 
 def probe_store(store) -> CheckResult:
-    """One connectivity check, first in every ``--store`` report.
+    """One connectivity check, first in every report.
 
     An unreachable remote fails this single check with an actionable
     message instead of surfacing as a traceback (or as N confusing
@@ -610,11 +357,15 @@ def probe_store(store) -> CheckResult:
     return check
 
 
-def run_store_doctor(store, fix: bool = False,
-                     prune_older_than_days: Optional[float] = None,
-                     prune_to_size_bytes: Optional[int] = None
-                     ) -> DoctorReport:
-    """Audit one blob store (local or remote) — the ``--store`` path."""
+def run_doctor(store, fix: bool = False,
+               prune_older_than_days: Optional[float] = None,
+               prune_to_size_bytes: Optional[int] = None) -> DoctorReport:
+    """Audit one blob store (a local tree or a remote).
+
+    With ``prune_older_than_days`` set, garbage-collect blobs older than
+    the cutoff first (manifest-logged), then audit what remains;
+    ``prune_to_size_bytes`` does the same under a byte budget (LRU).
+    """
     report = DoctorReport()
     connectivity = probe_store(store)
     report.checks.append(connectivity)
@@ -637,7 +388,7 @@ def run_store_doctor(store, fix: bool = False,
         # is the local tier (the remote keeps its copies); the tier's
         # spooled keys stay exempt because the local copy is the sole one.
         target = getattr(store, "local", None)
-        if target is not None and hasattr(store, "spooled_keys"):
+        if target is not None:
             report.checks.append(prune_store_to_size(
                 target, prune_to_size_bytes,
                 f"store {store.url()} local tier",
@@ -650,58 +401,5 @@ def run_store_doctor(store, fix: bool = False,
     if not report.ok:
         resilience_warn("doctor-problems",
                         "store integrity audit found problems",
-                        failed=sum(1 for c in report.checks if not c.ok))
-    return report
-
-
-def run_doctor(result_root: Optional[Path] = None,
-               trace_root: Optional[Path] = None,
-               fix: bool = False,
-               prune_older_than_days: Optional[float] = None,
-               store=None,
-               prune_to_size_bytes: Optional[int] = None) -> DoctorReport:
-    """Audit both caches; defaults to the live environment-derived roots.
-
-    With ``prune_older_than_days`` set, garbage-collect entries older
-    than the cutoff first (manifest-logged), then audit what remains;
-    ``prune_to_size_bytes`` does the same under a byte budget (LRU).
-    With ``store`` set (a :class:`repro.store.BlobStore`), audit through
-    the store interface instead of walking paths — identical checks,
-    any backend.
-    """
-    if store is not None:
-        return run_store_doctor(store, fix=fix,
-                                prune_older_than_days=prune_older_than_days,
-                                prune_to_size_bytes=prune_to_size_bytes)
-    from repro.experiments._engine import default_cache_dir
-    from repro.trace._cache import trace_cache_dir
-
-    result_root = Path(result_root) if result_root else default_cache_dir()
-    trace_root = Path(trace_root) if trace_root else trace_cache_dir()
-    report = DoctorReport()
-    if prune_to_size_bytes is not None:
-        # Size pruning is inherently cross-namespace (one budget for the
-        # whole tree), so it always goes through the store interface; an
-        # FsStore over these roots is bit-compatible with them.
-        from repro.store.fs import FsStore
-
-        report.checks.append(prune_store_to_size(
-            FsStore(result_root, trace_root=trace_root),
-            prune_to_size_bytes, f"cache {result_root}"))
-    if prune_older_than_days is not None:
-        report.checks.append(prune_cache(
-            result_root, ".json", prune_older_than_days,
-            f"result cache {result_root}"))
-        report.checks.append(prune_cache(
-            trace_root, ".bin", prune_older_than_days,
-            f"trace cache {trace_root}"))
-    # The default trace cache nests under the result cache root; keep its
-    # files out of the result-cache orphan scan so nothing double-reports.
-    report.checks.extend(check_result_cache(result_root, fix=fix,
-                                            exclude=trace_root))
-    report.checks.extend(check_trace_cache(trace_root, fix=fix))
-    if not report.ok:
-        resilience_warn("doctor-problems",
-                        "cache integrity audit found problems",
                         failed=sum(1 for c in report.checks if not c.ok))
     return report

@@ -1,29 +1,19 @@
-"""Durable writes and corrupt-blob quarantine for the on-disk caches.
+"""Durable writes for the on-disk caches and the service's state.
 
-Two invariants the result and trace caches lean on:
-
-* **A mid-write kill can never leave a half-written blob.**
-  :func:`durable_replace` writes through a same-directory temp file,
-  fsyncs the data before the atomic rename, and fsyncs the directory
-  after it — so after a crash either the old bytes or the new bytes are
-  on disk, never a prefix.
-* **Corruption is never silently destroyed.** A blob that exists but
-  fails to parse moves into ``quarantine/`` beside the cache root (with
-  a manifest line recording where it came from and why) instead of
-  being deleted or overwritten in place, so the evidence survives for
-  ``repro doctor`` and post-mortems.
+A mid-write kill can never leave a half-written file:
+:func:`durable_replace` writes through a same-directory temp file,
+fsyncs the data before the atomic rename, and fsyncs the directory
+after it — so after a crash either the old bytes or the new bytes are
+on disk, never a prefix.  (The other half of the caches' contract —
+corruption moves into ``quarantine/``, never deleted — lives with the
+layout it guards, in :mod:`repro.store.fs`.)
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
-
-QUARANTINE_DIRNAME = "quarantine"
-MANIFEST_NAME = "MANIFEST.jsonl"
 
 
 def fsync_directory(path) -> None:
@@ -68,59 +58,3 @@ def durable_replace(path: Path, data, binary: bool = False) -> None:
         except OSError:
             pass
         raise
-
-
-def quarantine_dir(root) -> Path:
-    """``quarantine/`` beside a cache root (not inside its fan-out dirs)."""
-    return Path(root) / QUARANTINE_DIRNAME
-
-
-def quarantine_file(root, path, reason: str) -> Optional[Path]:
-    """Move a corrupt blob into the cache's quarantine, never deleting it.
-
-    Returns the quarantined path, or ``None`` if the move failed (the
-    original file is then left exactly where it was — losing evidence is
-    worse than leaving a corrupt entry that the next read re-detects).
-    A manifest line records source, destination, and reason.
-    """
-    path = Path(path)
-    qdir = quarantine_dir(root)
-    try:
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = qdir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-    except OSError:
-        return None
-    entry = {"file": target.name, "from": str(path), "reason": reason,
-             "pid": os.getpid()}
-    try:
-        with open(qdir / MANIFEST_NAME, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError:
-        pass  # the quarantined blob itself is the record of last resort
-    return target
-
-
-def read_quarantine_manifest(root) -> List[Dict]:
-    """Parsed manifest entries (tolerating a torn final line)."""
-    manifest = quarantine_dir(root) / MANIFEST_NAME
-    entries: List[Dict] = []
-    try:
-        with open(manifest, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue  # torn tail from a crash mid-append
-    except OSError:
-        pass
-    return entries

@@ -42,12 +42,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro._version import package_version
 from repro.common.errors import ConfigError
 from repro.common.params import parse_protocol
-from repro.experiments._engine import (
-    ExperimentEngine,
-    ResultCache,
-    RunSpec,
-    default_cache_dir,
-)
+from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.obs.metrics import MetricsRegistry, process_registry
 from repro.resilience.faults import get_injector
 from repro.resilience.storage import durable_replace
@@ -62,7 +57,7 @@ from repro.service.rpc import (
     ServiceError,
     make_server,
 )
-from repro.store import FsStore, get_store
+from repro.store import FsStore, default_result_root, get_store
 from repro.system.results import RunResult
 from repro.trace.workloads import WORKLOADS
 
@@ -75,7 +70,7 @@ def service_state_dir() -> Path:
     env = os.environ.get("REPRO_SERVICE_DIR", "")
     if env:
         return Path(env)
-    return default_cache_dir() / "service"
+    return default_result_root() / "service"
 
 
 def _parse_one_spec(payload, index: int) -> RunSpec:

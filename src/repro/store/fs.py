@@ -1,4 +1,4 @@
-"""``FsStore``: the filesystem blob store (today's cache layout, verbatim).
+"""``FsStore``: the filesystem blob store, the one owner of the cache layout.
 
 Bit-compatibility is the point: an ``FsStore`` pointed at an existing
 ``REPRO_CACHE_DIR`` tree serves and extends it unchanged —
@@ -8,11 +8,18 @@ Bit-compatibility is the point: an ``FsStore`` pointed at an existing
   (``$REPRO_TRACE_CACHE_DIR`` if set, else ``traces/`` under the root,
   exactly as before)
 
-with the same crash-atomic fsync'd writes
-(:func:`repro.resilience.storage.durable_replace`), the same
-``quarantine/`` + ``MANIFEST.jsonl`` evidence trail, and the same
-``GC_MANIFEST.jsonl`` eviction log ``repro doctor`` has always used.
-Any other namespace maps to ``<root>/<namespace>/``.
+with crash-atomic fsync'd writes
+(:func:`repro.resilience.storage.durable_replace`).  Beside each
+namespace root sit the evidence trails ``repro doctor`` reads:
+``quarantine/`` with its ``MANIFEST.jsonl`` (corrupt blobs move there,
+never deleted) and ``GC_MANIFEST.jsonl`` (each eviction, logged before
+the delete).  Any other namespace maps to ``<root>/<namespace>/``.
+
+Blobs live only in the two-character fan-out directories that
+:meth:`FsStore.local_path` creates.  Everything else under a root — the
+service's ``service/`` state, ``*.leases/`` boards, a nested trace root,
+quarantine — belongs to someone else, so listing, the orphan scan and
+the layout audit never walk it.
 """
 
 from __future__ import annotations
@@ -20,15 +27,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.resilience.storage import (
-    QUARANTINE_DIRNAME,
-    durable_replace,
-    quarantine_dir,
-    quarantine_file,
-    read_quarantine_manifest,
-)
+from repro.resilience.storage import durable_replace
 from repro.store.base import (
     NAMESPACE_RESULTS,
     NAMESPACE_TRACES,
@@ -37,7 +38,10 @@ from repro.store.base import (
     split_key,
 )
 
+QUARANTINE_DIRNAME = "quarantine"
+QUARANTINE_MANIFEST = "MANIFEST.jsonl"
 GC_MANIFEST_NAME = "GC_MANIFEST.jsonl"
+MISFILED = "fan-out directory does not match digest prefix"
 
 
 def default_result_root() -> Path:
@@ -57,12 +61,32 @@ def default_trace_root(result_root: Optional[Path] = None) -> Path:
     return Path(root) / "traces"
 
 
-def _is_under(path: Path, ancestor: Path) -> bool:
+def _append_jsonl(path: Path, entry: Dict) -> None:
+    """Durably append one manifest line (flushed and fsync'd)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _read_jsonl(path: Path) -> List[Dict]:
+    """Parsed manifest lines (empty when the manifest does not exist)."""
+    entries: List[Dict] = []
     try:
-        path.relative_to(ancestor)
-    except ValueError:
-        return False
-    return True
+        fh = open(path, encoding="utf-8")
+    except OSError:
+        return entries
+    with fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entries.append(json.loads(line))
+            except ValueError:
+                continue  # torn tail from a crash mid-append
+    return entries
 
 
 class FsStore(BlobStore):
@@ -90,6 +114,19 @@ class FsStore(BlobStore):
     def local_path(self, key: str) -> Path:
         namespace, name = split_key(key)
         return self.namespace_root(namespace) / name[:2] / name
+
+    def _fanout_files(self, namespace: str) -> Iterator[Path]:
+        """Every file in the namespace's fan-out directories, in order."""
+        try:
+            children = sorted(self.namespace_root(namespace).iterdir())
+        except OSError:
+            return
+        for child in children:
+            # A trace root nested under the root is the traces' own tree,
+            # even when its name is two characters long.
+            if (len(child.name) == 2 and child != self.trace_root
+                    and child.is_dir()):
+                yield from sorted(p for p in child.iterdir() if p.is_file())
 
     # -- blob data -----------------------------------------------------------
 
@@ -126,24 +163,16 @@ class FsStore(BlobStore):
         return BlobStat(size=st.st_size, mtime=st.st_mtime)
 
     def list(self, prefix: str = "") -> List[str]:
+        """Keys whose blob ``get`` reaches; a misfiled blob is not one
+        of them (:meth:`structural_check` reports it)."""
         keys: List[str] = []
         for namespace in self._namespaces(prefix):
-            nsroot = self.namespace_root(namespace)
-            if not nsroot.is_dir():
-                continue
-            skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                    and _is_under(self.trace_root, self.root) else None)
-            for child in sorted(nsroot.iterdir()):
-                if not child.is_dir() or child.name == QUARANTINE_DIRNAME:
-                    continue
-                if skip is not None and _is_under(child, skip):
-                    continue
-                for path in sorted(child.iterdir()):
-                    if not path.is_file() or path.name.endswith(".tmp"):
-                        continue
-                    key = f"{namespace}/{path.name}"
-                    if key.startswith(prefix):
-                        keys.append(key)
+            for path in self._fanout_files(namespace):
+                key = f"{namespace}/{path.name}"
+                if (path.parent.name == path.name[:2]
+                        and not path.name.endswith(".tmp")
+                        and key.startswith(prefix)):
+                    keys.append(key)
         return keys
 
     def _namespaces(self, prefix: str) -> List[str]:
@@ -153,43 +182,60 @@ class FsStore(BlobStore):
         head = prefix.split("/", 1)[0]
         return [ns for ns in known if ns.startswith(head)]
 
+    # -- health --------------------------------------------------------------
+
+    def probe(self):
+        return True, f"local store, traces under {self.trace_root}"
+
     # -- integrity / quarantine ----------------------------------------------
 
     def quarantine(self, key: str, reason: str) -> Optional[str]:
         namespace, _ = split_key(key)
-        moved = quarantine_file(self.namespace_root(namespace),
-                                self.local_path(key), reason)
-        return moved.name if moved is not None else None
+        return self._quarantine_path(namespace, self.local_path(key), reason)
+
+    def _quarantine_path(self, namespace: str, path: Path,
+                         reason: str) -> Optional[str]:
+        """Move one file into the namespace's quarantine, recording
+        source, destination and reason in its manifest."""
+        qdir = self.namespace_root(namespace) / QUARANTINE_DIRNAME
+        try:
+            qdir.mkdir(parents=True, exist_ok=True)
+            target = qdir / path.name
+            suffix = 0
+            while target.exists():
+                suffix += 1
+                target = qdir / f"{path.name}.{suffix}"
+            os.replace(path, target)
+        except OSError:
+            return None
+        try:
+            _append_jsonl(qdir / QUARANTINE_MANIFEST,
+                          {"file": target.name, "from": str(path),
+                           "reason": reason, "pid": os.getpid()})
+        except OSError:
+            pass  # the quarantined blob itself is the record of last resort
+        return target.name
 
     def quarantine_inventory(self, namespace: str) -> Dict:
-        nsroot = self.namespace_root(namespace)
-        qdir = quarantine_dir(nsroot)
+        qdir = self.namespace_root(namespace) / QUARANTINE_DIRNAME
         files = ([p.name for p in sorted(qdir.iterdir())
-                  if p.is_file() and p.name != "MANIFEST.jsonl"]
+                  if p.is_file() and p.name != QUARANTINE_MANIFEST]
                  if qdir.is_dir() else [])
         return {"files": files,
-                "manifest": read_quarantine_manifest(nsroot)}
+                "manifest": _read_jsonl(qdir / QUARANTINE_MANIFEST)}
 
     def orphans(self, namespace: str) -> List[str]:
         nsroot = self.namespace_root(namespace)
-        if not nsroot.is_dir():
-            return []
-        skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                and _is_under(self.trace_root, nsroot) else None)
-        found = []
-        for path in nsroot.rglob("*.tmp"):
-            if QUARANTINE_DIRNAME in path.parts:
-                continue
-            if skip is not None and _is_under(path, skip):
-                continue
-            found.append(str(path.relative_to(nsroot)))
-        return sorted(found)
+        return [str(path.relative_to(nsroot))
+                for path in self._fanout_files(namespace)
+                if path.name.endswith(".tmp")]
 
     def remove_orphan(self, namespace: str, name: str) -> bool:
-        nsroot = self.namespace_root(namespace)
+        nsroot = self.namespace_root(namespace).resolve()
         path = (nsroot / name).resolve()
-        if not _is_under(path, nsroot.resolve()) or not name.endswith(".tmp"):
-            return False
+        if (path.parent.parent != nsroot or len(path.parent.name) != 2
+                or not path.name.endswith(".tmp")):
+            return False  # only a temp file in a fan-out directory
         try:
             path.unlink()
         except OSError:
@@ -198,58 +244,26 @@ class FsStore(BlobStore):
 
     def structural_check(self, namespace: str, fix: bool = False) -> List[str]:
         """Blobs filed in a fan-out directory other than ``name[:2]``."""
-        nsroot = self.namespace_root(namespace)
         problems: List[str] = []
-        if not nsroot.is_dir():
-            return problems
-        skip = (self.trace_root if namespace == NAMESPACE_RESULTS
-                and _is_under(self.trace_root, nsroot) else None)
-        for child in sorted(nsroot.iterdir()):
-            if not child.is_dir() or child.name == QUARANTINE_DIRNAME:
+        for path in self._fanout_files(namespace):
+            if (path.parent.name == path.name[:2]
+                    or path.name.endswith(".tmp")):
                 continue
-            if skip is not None and _is_under(child, skip):
-                continue
-            for path in sorted(child.iterdir()):
-                if not path.is_file() or path.name.endswith(".tmp"):
-                    continue
-                if child.name == path.name[:2]:
-                    continue
-                problem = (f"{path.name}: fan-out directory does not match "
-                           "digest prefix")
-                if fix:
-                    moved = quarantine_file(nsroot, path, problem)
-                    problem += (" -> quarantined" if moved
-                                else " (quarantine FAILED)")
-                problems.append(problem)
+            problem = f"{path.name}: {MISFILED}"
+            if fix:
+                moved = self._quarantine_path(namespace, path, MISFILED)
+                problem += (" -> quarantined" if moved
+                            else " (quarantine FAILED)")
+            problems.append(problem)
         return problems
 
     # -- garbage collection --------------------------------------------------
 
     def gc_log(self, namespace: str, entry: Dict) -> None:
-        manifest = self.namespace_root(namespace) / GC_MANIFEST_NAME
-        manifest.parent.mkdir(parents=True, exist_ok=True)
-        with open(manifest, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_jsonl(self.namespace_root(namespace) / GC_MANIFEST_NAME, entry)
 
     def gc_manifest(self, namespace: str) -> List[Dict]:
-        entries: List[Dict] = []
-        try:
-            fh = open(self.namespace_root(namespace) / GC_MANIFEST_NAME,
-                      encoding="utf-8")
-        except OSError:
-            return entries
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue  # torn tail from a crash mid-append
-        return entries
+        return _read_jsonl(self.namespace_root(namespace) / GC_MANIFEST_NAME)
 
     # -- identity ------------------------------------------------------------
 

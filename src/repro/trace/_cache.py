@@ -29,10 +29,6 @@ generators.  The cache shares the result cache's pluggable blob store
   memoized on the trace object (:func:`repro.trace.derived.derived_for`),
   not stored.  ``.drv`` sidecars that older builds wrote beside the
   ``.bin`` are never read; ``repro doctor --prune-to-size`` reclaims them.
-
-The ``root`` path argument of :class:`TraceCache` is deprecated the
-same way as ``ResultCache(root=...)``: it pins an
-:class:`~repro.store.FsStore` whose trace root is that path.
 """
 
 from __future__ import annotations
@@ -40,22 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import Optional
 
 from repro.common.errors import SimulationError
 from repro.resilience.faults import SITE_TRACE_CORRUPT, get_injector
 from repro.resilience.log import warn as resilience_warn
-from repro.store import NAMESPACE_TRACES, BlobStore, FsStore, get_store
-from repro.store.fs import default_trace_root
+from repro.store import NAMESPACE_TRACES, BlobStore, get_store
 from repro.trace.packed import FORMAT_VERSION, PackedTrace
 from repro.trace.workloads import build_streams
-
-
-def trace_cache_dir() -> Path:
-    """The local trace tree of the default filesystem store (legacy)."""
-    return default_trace_root()
 
 
 def trace_cache_enabled() -> bool:
@@ -80,18 +69,8 @@ def trace_digest(workload: str, cores: int, per_core: int, seed: int) -> str:
 class TraceCache:
     """Mirror of the engine's ``ResultCache``, holding packed binaries."""
 
-    def __init__(self, root: Optional[Path] = None,
-                 enabled: Optional[bool] = None,
+    def __init__(self, *, enabled: Optional[bool] = None,
                  store: Optional[BlobStore] = None):
-        if root is not None:
-            if store is not None:
-                raise TypeError("pass either root= (deprecated) or store=, "
-                                "not both")
-            warnings.warn(
-                "TraceCache(root=...) is deprecated; pass "
-                "store=FsStore(trace_root=root) or configure_store(...)",
-                DeprecationWarning, stacklevel=2)
-            store = FsStore(trace_root=Path(root))
         self._store = store
         self.enabled = trace_cache_enabled() if enabled is None else enabled
         self.hits = 0
@@ -104,11 +83,6 @@ class TraceCache:
         """The backend in effect (pinned at construction, else the
         process-wide :func:`repro.store.get_store` resolved per use)."""
         return self._store if self._store is not None else get_store()
-
-    @property
-    def root(self) -> Optional[Path]:
-        """The local trace tree, when the backend has one (legacy)."""
-        return getattr(self.store, "trace_root", None)
 
     @staticmethod
     def key_for(workload: str, cores: int, per_core: int, seed: int) -> str:

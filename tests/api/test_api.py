@@ -1,8 +1,4 @@
-"""The public surface: repro.api works, repro re-exports it, old deep
-import paths still work but warn."""
-
-import importlib
-import warnings
+"""The public surface: repro.api works and repro re-exports it."""
 
 import pytest
 
@@ -82,42 +78,6 @@ class TestTopLevelReexports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
-
-
-class TestDeprecationShims:
-    SHIMS = {
-        "repro.experiments.engine": "repro.experiments._engine",
-        "repro.system.simulator": "repro.system._simulator",
-        "repro.trace.cache": "repro.trace._cache",
-    }
-
-    @pytest.mark.parametrize("old", sorted(SHIMS))
-    def test_old_path_warns(self, old):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module(old)
-            importlib.reload(module)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and "repro.api" in str(w.message) for w in caught), old
-
-    @pytest.mark.parametrize("old", sorted(SHIMS))
-    def test_shim_preserves_identity(self, old):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = importlib.import_module(old)
-        impl = importlib.import_module(self.SHIMS[old])
-        public = [n for n in dir(shim) if not n.startswith("_")]
-        assert public, old
-        for name in public:
-            if hasattr(impl, name):
-                assert getattr(shim, name) is getattr(impl, name), name
-
-    def test_runspec_identity_across_paths(self):
-        """Cached pickles and dict keys rely on one RunSpec class."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.experiments.engine import RunSpec as old_spec
-        assert old_spec is api.RunSpec is repro.RunSpec
 
 
 class TestSweepValidation:

@@ -35,7 +35,7 @@ def _hermetic_trace_cache(tmp_path_factory):
 
     old = os.environ.get("REPRO_TRACE_CACHE_DIR")
     os.environ["REPRO_TRACE_CACHE_DIR"] = str(
-        tmp_path_factory.mktemp("repro-trace-cache"))
+        tmp_path_factory.mktemp("trace-cache"))
     yield
     if old is None:
         os.environ.pop("REPRO_TRACE_CACHE_DIR", None)

@@ -17,8 +17,8 @@ from pathlib import Path
 import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
-from repro.resilience.storage import QUARANTINE_DIRNAME
 from repro.store import FsStore
+from repro.store.fs import QUARANTINE_DIRNAME
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 

@@ -17,7 +17,6 @@ from repro.resilience.doctor import (
     check_trace_store,
     prune_store,
     run_doctor,
-    run_store_doctor,
 )
 from repro.service import SweepService, make_server
 from repro.store import FsStore, HttpStore
@@ -115,7 +114,7 @@ class TestStoreAudit:
         assert manifest[0]["file"].endswith(".json")
 
     def test_run_store_doctor_full_report(self, store):
-        report = run_store_doctor(store)
+        report = run_doctor(store)
         assert report.ok
         text = report.render()
         assert "entry integrity" in text
@@ -123,9 +122,15 @@ class TestStoreAudit:
         assert "all checks passed" in text
 
     def test_run_doctor_routes_to_store_path(self, store):
-        report = run_doctor(store=store, prune_older_than_days=365.0)
+        report = run_doctor(store, prune_older_than_days=365.0)
         assert report.ok
         assert any("GC" in check.name for check in report.checks)
+
+    def test_unreachable_store_stops_after_the_probe(self):
+        report = run_doctor(HttpStore("http://127.0.0.1:9", timeout_s=0.5))
+        assert [check.ok for check in report.checks] == [False]
+        assert report.render().endswith(
+            "doctor: PROBLEMS FOUND (store UNREACHABLE)")
 
 
 class TestDoctorCli:

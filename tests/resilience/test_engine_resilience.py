@@ -5,6 +5,8 @@ asserts the engine still returns the complete, correct matrix — the
 contract ``repro chaos`` enforces end to end.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.common.params import ProtocolKind
@@ -12,7 +14,6 @@ from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.obs.metrics import process_registry
 from repro.resilience.faults import reset_injector
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.storage import quarantine_dir, read_quarantine_manifest
 from repro.store import FsStore
 from repro.trace._cache import TraceCache
 
@@ -145,11 +146,9 @@ class TestResultCacheCorruption:
         assert cache.quarantined == 1
         assert engine.executed == 2  # the corrupt read forced a rerun
         # Evidence preserved, recorded, and the entry rebuilt on disk.
-        blobs = [p for p in quarantine_dir(cache.root).iterdir()
-                 if p.suffix == ".json"]
-        assert len(blobs) == 1
-        manifest = read_quarantine_manifest(cache.root)
-        assert len(manifest) == 1
+        quarantine = cache.store.quarantine_inventory("results")
+        assert [Path(name).suffix for name in quarantine["files"]] == [".json"]
+        assert len(quarantine["manifest"]) == 1
         assert cache.path_for(spec).exists()
         assert cache.get(spec).to_dict() == first.to_dict()
         counters = process_registry().counters()
@@ -188,10 +187,9 @@ class TestTraceCacheCorruption:
         rebuilt = cache.get_or_build(**self.RECIPE)
         assert rebuilt == good
         assert cache.quarantined == 1 and cache.built == 2
-        blobs = [p for p in quarantine_dir(cache.root).iterdir()
-                 if p.suffix == ".bin"]
-        assert len(blobs) == 1
-        assert len(read_quarantine_manifest(cache.root)) == 1
+        quarantine = cache.store.quarantine_inventory("traces")
+        assert [Path(name).suffix for name in quarantine["files"]] == [".bin"]
+        assert len(quarantine["manifest"]) == 1
         # The recovery is observable: warning counter + structured event.
         counters = process_registry().counters()
         assert any("trace-cache-corrupt" in key for key in counters)

@@ -148,7 +148,7 @@ class TestSpoolExempt:
         fill(tier.local, count=3, size=100)
         # Fake an unflushed write: a marker claims the oldest key.
         tier._spool(key_for(0))
-        report = run_doctor(store=tier, prune_to_size_bytes=150)
+        report = run_doctor(tier, prune_to_size_bytes=150)
         prune = next(c for c in report.checks if "size budget" in c.name)
         assert prune.ok and "local tier" in prune.name
         assert tier.local.get(key_for(0)) is not None  # sole copy kept
@@ -162,15 +162,12 @@ class TestSpoolExempt:
 
 
 class TestDoctorEntryPoints:
-    def test_run_doctor_path_based(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR",
-                           str(tmp_path / "cache/traces"))
+    def test_run_doctor_path_based(self, tmp_path):
+        """The default route: an FsStore over the local cache trees."""
         store = FsStore(tmp_path / "cache",
                         trace_root=tmp_path / "cache/traces")
         fill(store, count=3, size=100)
-        report = run_doctor(result_root=tmp_path / "cache",
-                            trace_root=tmp_path / "cache/traces",
-                            prune_to_size_bytes=150)
+        report = run_doctor(store, prune_to_size_bytes=150)
         prune = next(c for c in report.checks if "size budget" in c.name)
         assert prune.ok and prune.evicted == 2
         assert len(store.gc_manifest("results")) == 2

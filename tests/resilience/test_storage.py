@@ -1,17 +1,12 @@
 """Durable writes and quarantine: crash-atomicity and never-delete."""
 
 import json
-import os
 
 import pytest
 
-from repro.resilience.storage import (
-    MANIFEST_NAME,
-    durable_replace,
-    quarantine_dir,
-    quarantine_file,
-    read_quarantine_manifest,
-)
+from repro.resilience.storage import durable_replace
+from repro.store import FsStore
+from repro.store.fs import QUARANTINE_DIRNAME, QUARANTINE_MANIFEST
 
 
 class TestDurableReplace:
@@ -55,45 +50,43 @@ class TestDurableReplace:
 
 
 class TestQuarantine:
+    """Corruption is moved aside by the store, never deleted."""
+
+    KEY = "results/abcd.json"
+
     def test_moves_blob_and_records_manifest(self, tmp_path):
-        root = tmp_path / "cache"
-        blob = root / "ab" / "abcd.json"
-        blob.parent.mkdir(parents=True)
-        blob.write_bytes(b"corrupt!")
-        target = quarantine_file(root, blob, "does not parse")
-        assert target == quarantine_dir(root) / "abcd.json"
+        store = FsStore(tmp_path / "cache")
+        store.put(self.KEY, b"corrupt!")
+        blob = store.local_path(self.KEY)
+        assert store.quarantine(self.KEY, "does not parse") == "abcd.json"
+        target = tmp_path / "cache" / QUARANTINE_DIRNAME / "abcd.json"
         assert target.read_bytes() == b"corrupt!"  # evidence preserved
         assert not blob.exists()
-        entries = read_quarantine_manifest(root)
-        assert len(entries) == 1
-        assert entries[0]["file"] == "abcd.json"
-        assert entries[0]["reason"] == "does not parse"
-        assert entries[0]["from"] == str(blob)
+        (entry,) = store.quarantine_inventory("results")["manifest"]
+        assert entry["file"] == "abcd.json"
+        assert entry["reason"] == "does not parse"
+        assert entry["from"] == str(blob)
 
     def test_name_collisions_get_suffixes(self, tmp_path):
-        root = tmp_path / "cache"
+        store = FsStore(tmp_path / "cache")
         for expected in ("abcd.json", "abcd.json.1", "abcd.json.2"):
-            blob = root / "ab" / "abcd.json"
-            blob.parent.mkdir(parents=True, exist_ok=True)
-            blob.write_bytes(b"bad")
-            target = quarantine_file(root, blob, "again")
-            assert target.name == expected
-        assert len(read_quarantine_manifest(root)) == 3
+            store.put(self.KEY, b"bad")
+            assert store.quarantine(self.KEY, "again") == expected
+        assert len(store.quarantine_inventory("results")["manifest"]) == 3
 
     def test_missing_blob_returns_none(self, tmp_path):
-        assert quarantine_file(tmp_path, tmp_path / "absent.json", "?") is None
+        assert FsStore(tmp_path).quarantine(self.KEY, "?") is None
 
     def test_manifest_tolerates_torn_final_line(self, tmp_path):
-        root = tmp_path / "cache"
-        blob = root / "ab" / "abcd.json"
-        blob.parent.mkdir(parents=True)
-        blob.write_bytes(b"bad")
-        quarantine_file(root, blob, "reason")
-        manifest = quarantine_dir(root) / MANIFEST_NAME
+        store = FsStore(tmp_path / "cache")
+        store.put(self.KEY, b"bad")
+        store.quarantine(self.KEY, "reason")
+        manifest = (tmp_path / "cache" / QUARANTINE_DIRNAME
+                    / QUARANTINE_MANIFEST)
         with open(manifest, "a") as fh:
             fh.write('{"file": "torn')  # killed mid-append
-        entries = read_quarantine_manifest(root)
-        assert len(entries) == 1
+        assert len(store.quarantine_inventory("results")["manifest"]) == 1
 
     def test_no_manifest_means_empty(self, tmp_path):
-        assert read_quarantine_manifest(tmp_path / "nowhere") == []
+        assert FsStore(tmp_path / "nowhere").quarantine_inventory(
+            "results") == {"files": [], "manifest": []}

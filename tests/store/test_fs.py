@@ -1,7 +1,6 @@
 """FsStore: the BlobStore contract over the historical cache layout."""
 
 import json
-import warnings
 
 import pytest
 
@@ -14,6 +13,7 @@ from repro.store import (
     split_key,
     validate_key,
 )
+from repro.store.fs import MISFILED
 
 DIGEST = "ab" + "0" * 62
 
@@ -152,6 +152,35 @@ class TestList:
         store.put(f"traces/{DIGEST}.bin", b"T")
         assert store.list("results/") == []
 
+    def test_two_character_nested_trace_root_is_not_a_fanout(self, tmp_path):
+        store = FsStore(tmp_path, trace_root=tmp_path / "tc")
+        store.put(f"traces/{DIGEST}.bin", b"T")
+        store.gc_log(NAMESPACE_TRACES, {"file": "x"})
+        assert store.list("results/") == []
+        assert store.structural_check(NAMESPACE_RESULTS, fix=True) == []
+        assert store.gc_manifest(NAMESPACE_TRACES) == [{"file": "x"}]
+
+    def test_only_fanout_directories_are_walked(self, tmp_path):
+        """The service's state and lease boards share the default root;
+        they are never listed, audited or quarantined as blobs."""
+        store = FsStore(tmp_path, trace_root=tmp_path / "traces")
+        store.put(f"results/{DIGEST}.json", b"{}")
+        queue = tmp_path / "service" / "queue.jsonl"
+        queue.parent.mkdir()
+        queue.write_text('{"event": "submit"}\n')
+        lease = tmp_path / "journal.jsonl.leases" / f"{DIGEST}.lease"
+        lease.parent.mkdir()
+        lease.write_text("{}")
+        (tmp_path / "service" / "queue.jsonl.tmp").write_bytes(b"compacting")
+        assert store.list() == [f"results/{DIGEST}.json"]
+        assert store.structural_check(NAMESPACE_RESULTS, fix=True) == []
+        assert store.orphans(NAMESPACE_RESULTS) == []
+        assert store.remove_orphan(NAMESPACE_RESULTS,
+                                   "service/queue.jsonl.tmp") is False
+        assert queue.read_text() == '{"event": "submit"}\n'
+        assert lease.read_text() == "{}"
+        assert not (tmp_path / "quarantine").exists()
+
 
 class TestQuarantine:
     def test_quarantine_preserves_evidence(self, tmp_path):
@@ -206,6 +235,19 @@ class TestStructural:
         assert not misfiled.exists()
         assert store.structural_check(NAMESPACE_RESULTS) == []
 
+    def test_misfiled_blob_is_not_listed_and_reason_is_bare(self, tmp_path):
+        """``get`` cannot reach a misfiled blob, so only the layout check
+        reports it, and its quarantine manifest records the bare reason."""
+        store = FsStore(tmp_path)
+        misfiled = tmp_path / "zz" / f"{DIGEST}.json"
+        misfiled.parent.mkdir(parents=True)
+        misfiled.write_bytes(b"{}")
+        assert store.list() == []
+        store.structural_check(NAMESPACE_RESULTS, fix=True)
+        (entry,) = store.quarantine_inventory(NAMESPACE_RESULTS)["manifest"]
+        assert entry["file"] == f"{DIGEST}.json"
+        assert entry["reason"] == MISFILED
+
 
 class TestGc:
     def test_gc_log_manifest_round_trip(self, tmp_path):
@@ -225,47 +267,54 @@ class TestGc:
 
 
 class TestCacheShims:
-    """ResultCache(root)/TraceCache(root) still work, as FsStore wrappers."""
+    """The removed ``root`` shims of ResultCache/TraceCache: a path now
+    fails loudly, and a store-built cache addresses the same bytes the
+    path-built one did."""
 
     def test_result_cache_root_warns_and_maps_to_fs_store(self, tmp_path):
         from repro.experiments._engine import ResultCache
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache = ResultCache(tmp_path / "cache", enabled=True)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert isinstance(cache.store, FsStore)
-        assert cache.root == tmp_path / "cache"
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path / "cache", enabled=True)
+        store = FsStore(tmp_path / "cache")
+        cache = ResultCache(store=store, enabled=True)
+        assert cache.store is store
+        assert not hasattr(cache, "root")
 
     def test_trace_cache_root_warns_and_maps_to_fs_store(self, tmp_path):
         from repro.trace._cache import TraceCache
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache = TraceCache(tmp_path / "traces", enabled=True)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert isinstance(cache.store, FsStore)
-        assert cache.root == tmp_path / "traces"
+        with pytest.raises(TypeError):
+            TraceCache(tmp_path / "traces", enabled=True)
+        store = FsStore(trace_root=tmp_path / "traces")
+        cache = TraceCache(store=store, enabled=True)
+        assert cache.store is store
+        assert not hasattr(cache, "root")
+        assert cache.path_for("histogram", 2, 40, 0) == store.local_path(
+            cache.key_for("histogram", 2, 40, 0))
+        assert cache.path_for("histogram", 2, 40, 0).parent.parent == \
+            tmp_path / "traces"
 
     def test_root_and_store_together_rejected(self, tmp_path):
         from repro.experiments._engine import ResultCache
         from repro.trace._cache import TraceCache
 
-        with pytest.raises(TypeError):
-            ResultCache(tmp_path, store=FsStore(tmp_path))
-        with pytest.raises(TypeError):
-            TraceCache(tmp_path, store=FsStore(tmp_path))
+        for cache in (ResultCache, TraceCache):
+            with pytest.raises(TypeError):
+                cache(tmp_path, store=FsStore(tmp_path))
+            with pytest.raises(TypeError):
+                cache(root=tmp_path)
 
     def test_shimmed_cache_reads_store_written_blob(self, tmp_path):
-        """Old-style cache and new-style store address the same bytes."""
+        """A store-built cache reads a blob at the historical path."""
         from repro.common.params import ProtocolKind
         from repro.experiments._engine import ResultCache, RunSpec
 
         spec = RunSpec(workload="histogram", protocol=ProtocolKind.MESI,
                        cores=2, per_core=40, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cache = ResultCache(tmp_path / "cache", enabled=True)
         store = FsStore(tmp_path / "cache")
+        cache = ResultCache(store=store, enabled=True)
         assert cache.key_for(spec) == f"results/{spec.digest()}.json"
         assert cache.path_for(spec) == store.local_path(cache.key_for(spec))
+        assert cache.path_for(spec) == \
+            tmp_path / "cache" / spec.digest()[:2] / f"{spec.digest()}.json"

@@ -5,13 +5,8 @@ import os
 import pytest
 
 import repro.trace._cache as trace_cache_mod
-from repro.store import FsStore
-from repro.trace._cache import (
-    TraceCache,
-    packed_streams,
-    trace_cache_dir,
-    trace_digest,
-)
+from repro.store import FsStore, default_trace_root
+from repro.trace._cache import TraceCache, packed_streams, trace_digest
 from repro.trace.packed import PackedTrace
 from repro.trace.workloads import build_streams
 
@@ -115,17 +110,17 @@ class TestCache:
 class TestLocation:
     def test_env_dir_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "t"))
-        assert trace_cache_dir() == tmp_path / "t"
+        assert default_trace_root() == tmp_path / "t"
 
     def test_defaults_beside_result_cache(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
-        assert trace_cache_dir() == tmp_path / "rc" / "traces"
+        assert default_trace_root() == tmp_path / "rc" / "traces"
 
     def test_suite_is_hermetic(self):
         """The autouse fixture must keep traces out of ~/.cache."""
         home = os.path.expanduser("~")
-        assert not str(trace_cache_dir()).startswith(home + "/.cache")
+        assert not str(default_trace_root()).startswith(home + "/.cache")
 
     def test_packed_streams_follows_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "mine"))

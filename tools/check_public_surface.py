@@ -7,10 +7,10 @@ in ``README.md`` / ``docs/*.md`` — may import from ``repro`` or
 ``repro.trace.io``, ...) are implementation detail: showing them in
 docs re-freezes layouts the facade exists to keep movable.
 
-Also rejects the deprecated cache constructors: ``ResultCache`` /
-``TraceCache`` calls that pass a path positionally or via ``root=`` are
-shims over :class:`repro.api.FsStore` — user-facing material must show
-the store-first surface (``ResultCache(store=FsStore(path))`` or
+Also rejects the removed cache constructors: ``ResultCache`` /
+``TraceCache`` calls that pass a path positionally or via ``root=``
+raise ``TypeError`` — user-facing material must show the store-first
+surface (``ResultCache(store=FsStore(path))`` or
 ``configure_store("file:///path")``).
 
 Exit status 1 lists every violation as ``file:line: import``.
@@ -44,7 +44,7 @@ def bad_imports(tree: ast.AST) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, f"from {module} import ..."
 
 
-#: Cache constructors whose legacy path argument is a deprecation shim.
+#: Cache constructors whose path argument was removed.
 CACHE_CLASSES = {"ResultCache", "TraceCache"}
 
 
@@ -57,7 +57,7 @@ def _call_name(node: ast.Call) -> str:
     return ""
 
 
-def deprecated_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+def removed_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
     """``ResultCache(path)`` / ``TraceCache(root=...)`` style calls."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -67,12 +67,12 @@ def deprecated_cache_calls(tree: ast.AST) -> Iterator[Tuple[int, str]]:
             continue
         if node.args:
             yield (node.lineno,
-                   f"{name}(<path>) positional root is deprecated — "
+                   f"{name}(<path>) positional root was removed — "
                    f"use {name}(store=FsStore(path))")
         for keyword in node.keywords:
             if keyword.arg in ("root", "dir", "cache_dir"):
                 yield (node.lineno,
-                       f"{name}({keyword.arg}=...) is deprecated — "
+                       f"{name}({keyword.arg}=...) was removed — "
                        f"use {name}(store=FsStore(path))")
 
 
@@ -84,7 +84,7 @@ def check_python_source(source: str, label: str,
         # Doc snippets may be deliberately elided (``...``); skip what
         # does not parse rather than failing the build over prose.
         return []
-    findings = list(bad_imports(tree)) + list(deprecated_cache_calls(tree))
+    findings = list(bad_imports(tree)) + list(removed_cache_calls(tree))
     return [f"{label}:{line + line_offset}: {what}"
             for line, what in sorted(findings)]
 
