@@ -6,7 +6,8 @@ Commands
 ``run``       simulate one workload under one protocol, print the summary
 ``compare``   one workload under all four protocols, side by side
 ``report``    regenerate the full evaluation (all tables and figures)
-``bench``     time cold/warm sweeps + the hot path; write BENCH_protozoa.json
+``bench``     the CI gates perfbench lacks (warm cache hits, parallel
+              fan-out, observability tax); write BENCH_protozoa.json
 ``verify``    the paper's random protocol tester with full checking
 ``check``     bounded-exhaustive model checking + differential verification
 ``trace``     dump a workload's synthetic trace to a file (replayable)
@@ -31,10 +32,9 @@ parser, so flags mean the same thing everywhere.  ``report`` and
 sizes the worker pool and ``--store`` / ``REPRO_STORE`` names the blob
 store holding the result and trace caches — ``file:///path`` (or a bare
 path) for a local tree, ``http://host:port`` for a running ``repro
-serve`` shared by a fleet (docs/distributed.md).  The older
-``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` variables and
-``--trace-dir`` remain as deprecated aliases locating the default
-``file://`` store.
+serve`` shared by a fleet (docs/distributed.md).  Without a store,
+``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` and ``--trace-dir``
+locate the default ``file://`` store's result and trace trees.
 """
 
 from __future__ import annotations
@@ -98,21 +98,13 @@ def _common_parent() -> argparse.ArgumentParser:
                              "of a running 'repro serve' (?timeout=SECONDS "
                              "accepted), or tiered+http://host:port?local=DIR"
                              "[&budget=BYTES] for an outage-tolerant local "
-                             "tier (overrides REPRO_STORE; supersedes the "
-                             "deprecated REPRO_CACHE_DIR/"
-                             "REPRO_TRACE_CACHE_DIR)")
+                             "tier (overrides REPRO_STORE; without it, "
+                             "REPRO_CACHE_DIR/REPRO_TRACE_CACHE_DIR locate "
+                             "the default file:// store)")
     parent.add_argument("--trace-dir", default="",
-                        help="packed trace cache directory "
-                             "(overrides REPRO_TRACE_CACHE_DIR; deprecated "
-                             "in favour of --store)")
-    parent.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="batched packed-trace execution, taken only "
-                             "on traces long enough to repay it (averaging "
-                             "repro.system.batch.MIN_EVENTS_PER_CORE or "
-                             "more accesses per core); --no-batch forces "
-                             "the scalar issue loop (default: $REPRO_BATCH, "
-                             "on when unset)")
+                        help="packed trace directory of the default "
+                             "file:// store (overrides "
+                             "REPRO_TRACE_CACHE_DIR)")
     return parent
 
 
@@ -134,11 +126,6 @@ def _apply_common(args) -> Optional[int]:
             raise SystemExit(f"--store: {exc}")
     if getattr(args, "trace_dir", ""):
         os.environ["REPRO_TRACE_CACHE_DIR"] = args.trace_dir
-    batch = getattr(args, "batch", None)
-    if batch is not None:
-        # Exported rather than threaded through call signatures so the
-        # choice reaches every engine and forked pool worker identically.
-        os.environ["REPRO_BATCH"] = "1" if batch else "0"
     jobs = getattr(args, "jobs", 0)
     if jobs and jobs > 0:
         os.environ["REPRO_JOBS"] = str(jobs)
@@ -302,71 +289,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.experiments.bench import render, run_bench
+    from repro.experiments.bench import gate_failures, render, run_bench
 
     jobs = _apply_common(args)
-    report = run_bench(quick=args.quick, jobs=jobs,
-                       out_path=args.out,
-                       journal_path=args.journal or None,
-                       resume=args.resume)
+    report = run_bench(jobs=jobs, out_path=args.out)
     print(render(report))
     print(f"\nbench report written to {args.out}")
-    if args.assert_warm:
-        sweep = report["sweep"]
-        if not sweep["warm_all_hits"]:
-            print("FAIL: warm sweep was not 100% cache hits "
-                  f"({sweep['warm_cache_hits']} hits, "
-                  f"{sweep['warm_simulated']} simulated)")
-            return 1
-        # With a real worker pool, fan-out losing to serial is a
-        # regression (the PR-2 0.9x slip) — fail loudly.
-        if (sweep["parallel_jobs"] > 1
-                and sweep["parallel_speedup"] < args.min_parallel_speedup):
-            print(f"FAIL: parallel cold sweep speedup "
-                  f"{sweep['parallel_speedup']}x with "
-                  f"{sweep['parallel_jobs']} jobs (required >= "
-                  f"{args.min_parallel_speedup}x)")
-            return 1
-        obs = report.get("obs_overhead", {})
-        if obs.get("disabled_is_noop") is False:
-            print("FAIL: a run without REPRO_OBS still produced obs "
-                  "artifacts (hooks are not zero-cost-off)")
-            return 1
-        if obs.get("counters_identical") is False:
-            print("FAIL: enabling observability changed simulation "
-                  "counters (tracing must be side-effect free)")
-            return 1
-    if args.assert_batch_identical:
-        batch = report.get("batch", {})
-        identical = batch.get("identical", {})
-        wrong = sorted(name for name, ok in identical.items() if not ok)
-        if not identical or wrong:
-            print("FAIL: batched execution diverged from scalar for "
-                  f"{', '.join(wrong) if wrong else 'every protocol'} "
-                  "(counters must be bit-identical)")
-            return 1
-        batch_obs = report.get("obs_overhead", {}).get("batch_obs", {})
-        wrong = sorted(name for name, ok
-                       in batch_obs.get("identical", {}).items() if not ok)
-        if wrong:
-            print("FAIL: batched execution with observability diverged "
-                  f"from the scalar obs path for {', '.join(wrong)} "
-                  "(stats and metric dumps must be byte-identical)")
-            return 1
-    if args.assert_obs_overhead is not None:
-        obs = report.get("obs_overhead", {})
-        overhead = obs.get("overhead_pct")
-        if overhead is None or overhead >= args.assert_obs_overhead:
-            print(f"FAIL: enabled-observability overhead "
-                  f"{overhead if overhead is not None else 'unmeasured'}% "
-                  f"(required < {args.assert_obs_overhead}%)")
-            return 1
-        if obs.get("counters_identical") is False \
-                or obs.get("disabled_is_noop") is False:
-            print("FAIL: obs overhead asserted but the parity guarantees "
-                  "do not hold (counters_identical/disabled_is_noop)")
-            return 1
-    return 0
+    failures = gate_failures(report)
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
 
 
 def cmd_verify(args) -> int:
@@ -715,16 +647,6 @@ def cmd_jobs(args) -> int:
     return 0
 
 
-def _add_journal_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--journal", default="",
-                        help="record completed runs to this JSONL sweep "
-                             "journal (crash-safe; see docs/resilience.md)")
-    parser.add_argument("--resume", action="store_true",
-                        help="load the journal first and replay only "
-                             "uncompleted runs (default journal: "
-                             "<cache-dir>/journal.jsonl)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro._version import package_version
 
@@ -759,35 +681,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="regenerate every table/figure",
                        parents=[_common_parent()])
     p.add_argument("--out", default="")
-    _add_journal_args(p)
+    p.add_argument("--journal", default="",
+                   help="record completed runs to this JSONL sweep "
+                        "journal (crash-safe; see docs/resilience.md)")
+    p.add_argument("--resume", action="store_true",
+                   help="load the journal first and replay only "
+                        "uncompleted runs (default journal: "
+                        "<cache-dir>/journal.jsonl)")
     _add_machine_args(p)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("bench",
-                       help="time cold/warm sweeps and the transaction hot "
-                            "path; write BENCH_protozoa.json",
+                       help="gate warm-sweep cache hits, parallel fan-out "
+                            "and the observability tax; write "
+                            "BENCH_protozoa.json",
                        parents=[_common_parent()])
-    p.add_argument("--quick", action="store_true",
-                   help="small matrix for CI smoke runs")
     p.add_argument("--out", default="BENCH_protozoa.json")
-    p.add_argument("--assert-warm", action="store_true",
-                   help="exit nonzero unless the warm sweep was 100%% cache "
-                        "hits, (with >1 job) the parallel cold sweep met "
-                        "--min-parallel-speedup, and disabled observability "
-                        "was a no-op")
-    p.add_argument("--min-parallel-speedup", type=float, default=1.0,
-                   help="parallel-vs-serial cold sweep speedup --assert-warm "
-                        "requires when jobs > 1 (default 1.0)")
-    p.add_argument("--assert-batch-identical", action="store_true",
-                   help="exit nonzero unless batched and scalar execution "
-                        "produced bit-identical counters for every protocol "
-                        "(with and without observability attached)")
-    p.add_argument("--assert-obs-overhead", type=float, default=None,
-                   metavar="PCT",
-                   help="exit nonzero unless the measured enabled-vs-"
-                        "disabled observability overhead is below PCT "
-                        "percent (and the parity guarantees hold)")
-    _add_journal_args(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="run the random protocol tester",

@@ -152,31 +152,23 @@ def _serialize_result(result: RunResult) -> str:
     return json.dumps(result.to_dict(), separators=(",", ":"))
 
 
-def _pool_init(trace_dir: str, batch_env: str = "",
-               store_env: str = "", store_timeout_env: str = "") -> None:
+def _pool_init(trace_dir: str, store_env: str = "",
+               store_timeout_env: str = "") -> None:
     """Worker initializer: pin the trace cache, pre-import the machine.
 
     Runs once per worker process (not per task), so spawn-started pools
     agree with the parent on trace-cache location, blob-store choice
-    (``REPRO_STORE``, set by ``--store``), the remote-store timeout
-    (``REPRO_STORE_TIMEOUT``), batched-execution choice (``REPRO_BATCH``,
-    set by ``--batch/--no-batch``), and every heavy import is paid
-    before the first task arrives.
+    (``REPRO_STORE``, set by ``--store``) and the remote-store timeout
+    (``REPRO_STORE_TIMEOUT``), and every heavy import is paid before the
+    first task arrives.
     """
     if trace_dir:
         os.environ["REPRO_TRACE_CACHE_DIR"] = trace_dir
-    if batch_env:
-        os.environ["REPRO_BATCH"] = batch_env
     if store_env:
         os.environ["REPRO_STORE"] = store_env
     if store_timeout_env:
         os.environ["REPRO_STORE_TIMEOUT"] = store_timeout_env
     import repro.system.machine  # noqa: F401
-
-
-def _worker_run(payload: Dict) -> Dict:
-    """Single-spec pool entry point (kept for compatibility)."""
-    return execute_spec(RunSpec.from_payload(payload)).to_dict()
 
 
 def _worker_run_chunk(payloads: List[Dict]) -> List[str]:
@@ -358,7 +350,6 @@ class ExperimentEngine:
                 max_workers=self.jobs,
                 initializer=_pool_init,
                 initargs=(str(default_trace_root()),
-                          os.environ.get("REPRO_BATCH", ""),
                           os.environ.get("REPRO_STORE", ""),
                           os.environ.get("REPRO_STORE_TIMEOUT", "")),
             )

@@ -12,12 +12,12 @@ session that the machine assembly threads through a run:
   mergeable wire form (per-worker registries are merged back across the
   experiment engine's process pool);
 * :class:`~repro.obs.timers.PhaseTimers` — wall-clock phase timing
-  (trace build, pool warm, simulate, flush) surfaced by ``repro bench``.
+  (simulate, flush) surfaced as ``result.phase_seconds``.
 
 **Overhead contract.** Observability is *off by default* (``REPRO_OBS=0``)
 and every hook in the hot path is a single attribute load plus an
-``is None`` test; ``repro bench`` records the measured enabled-vs-disabled
-overhead so regressions are visible.  With observability *on*, protocol
+``is None`` test; ``repro bench`` measures the enabled-vs-disabled
+overhead and fails when it reaches 10%.  With observability *on*, protocol
 counters remain bit-identical to an untraced run — the hooks only read
 simulation state, never mutate it (pinned by
 ``tests/obs/test_parity.py``).

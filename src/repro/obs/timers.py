@@ -1,11 +1,11 @@
 """Lightweight wall-clock phase timers.
 
 A :class:`PhaseTimers` accumulates elapsed seconds per named phase
-(``trace_build``, ``warm_pool``, ``simulate``, ``flush``...).  Phases are
-additive — timing the same phase twice sums — so per-run timers merge
-naturally into sweep-level totals.  Timings are wall-clock and therefore
-nondeterministic: they are *never* serialized into cached results, only
-surfaced through live objects and the ``repro bench`` report.
+(``simulate``, ``flush``...).  Phases are additive — timing the same
+phase twice sums — so per-run timers merge naturally into sweep-level
+totals.  Timings are wall-clock and therefore nondeterministic: they
+are *never* serialized into cached results, only surfaced through live
+objects (``result.phase_seconds``, ``repro events --summary``).
 """
 
 from __future__ import annotations

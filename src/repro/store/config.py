@@ -23,9 +23,8 @@ describes the remote leg and is handed to it unchanged.
 worker it forks — resolves the same store.  ``get_store`` is the single
 lookup the caches use: the configured store if its URL still matches
 the environment, else whatever ``REPRO_STORE`` names, else the default
-:class:`~repro.store.fs.FsStore` honouring the legacy
-``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` variables (which remain
-as deprecated aliases of a ``file://`` store).
+:class:`~repro.store.fs.FsStore`, whose result and trace trees
+``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` locate.
 """
 
 from __future__ import annotations

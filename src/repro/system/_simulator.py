@@ -42,10 +42,10 @@ class Simulator:
                  obs=None, batch: Optional[bool] = None):
         self._packed: Optional[PackedTrace] = None
         # Batch execution over packed columns (repro.system.batch):
-        # True forces it on, False off, None defers to $REPRO_BATCH
-        # (default on, for traces long enough to repay it).  Either way
-        # the run is bit-identical; ineligible configurations silently
-        # take the scalar loop.
+        # True forces it on, False off, None lets the trace decide
+        # (batched only when long and reused enough to repay it).
+        # Either way the run is bit-identical; ineligible
+        # configurations silently take the scalar loop.
         self._batch = batch
         self._streams: List[Iterator[MemAccess]] = []
         # Observability session (repro.obs): attached to the protocol so

@@ -57,23 +57,20 @@ transactions (misses, evictions, and the stretches around them) record
 normally — they are what the ring retains under batching.
 
 Batch mode declines (returning the scalar path, never an error) when
-the stream is not packed, ``REPRO_BATCH=0``, ``check_values`` is on, or
-regions are wider than the 62-word mask columns.  Default mode also
-declines traces shorter than :data:`MIN_EVENTS_PER_CORE` per core or
-less reused than :data:`MIN_REUSE`.
+the stream is not packed, ``batch=False`` was passed, ``check_values``
+is on, or regions are wider than the 62-word mask columns.  With
+``batch=None`` (the default) the trace decides: traces shorter than
+:data:`MIN_EVENTS_PER_CORE` per core or less reused than
+:data:`MIN_REUSE` run the scalar loop too.  ``batch=True`` bypasses
+those two gates.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 from repro.trace.derived import MAX_MASK_WORDS, derived_for
-
-#: Environment switch read by default (CLI ``--batch/--no-batch`` sets it
-#: so the choice reaches pool workers); batch execution is ON by default.
-ENV_FLAG = "REPRO_BATCH"
 
 #: Minimum events per distinct (core, region) pair for *default-mode*
 #: batching.  Every distinct pair costs at least one compulsory miss, so
@@ -92,10 +89,6 @@ MIN_REUSE = 4.0
 MIN_EVENTS_PER_CORE = 512
 
 
-def batch_env_enabled() -> bool:
-    return os.environ.get(ENV_FLAG, "1") != "0"
-
-
 def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     """Run ``sim``'s packed trace batched if eligible; returns whether it ran.
 
@@ -108,9 +101,8 @@ def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     requested = getattr(sim, "_batch", None)
     if requested is False:
         return False
-    if requested is None and (
-            not batch_env_enabled()
-            or len(packed) < MIN_EVENTS_PER_CORE * packed.cores):
+    if (requested is None
+            and len(packed) < MIN_EVENTS_PER_CORE * packed.cores):
         return False
     protocol = sim.protocol
     config = protocol.config

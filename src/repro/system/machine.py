@@ -36,10 +36,10 @@ def simulate(streams: Streams, config: SystemConfig,
     (the packed form just skips per-event object construction).
 
     ``batch`` selects the batched issue loop for packed streams
-    (:mod:`repro.system.batch`): ``None`` consults ``REPRO_BATCH``
-    (default on) and batches only traces long enough to repay it,
-    ``False`` forces the scalar loop, ``True`` forces batch where
-    eligible.  Results are bit-identical either way.
+    (:mod:`repro.system.batch`): ``None`` lets the trace decide,
+    batching only traces long and reused enough to repay it, ``False``
+    forces the scalar loop, ``True`` forces batch where eligible.
+    Results are bit-identical either way.
 
     ``obs`` selects observability (:mod:`repro.obs`): ``None`` consults
     ``REPRO_OBS`` (default off — every hook is then a no-op), ``False``

@@ -145,52 +145,97 @@ class TestJobsFlag:
         assert rc == 0
         assert default_jobs() == 2
 
-    def test_bench_quick_records_per_phase_jobs(self, tmp_path, capsys):
+    def test_bench_records_per_phase_jobs(self, tmp_path, monkeypatch,
+                                          capsys):
+        # The real command with one job.  Its exit code and overhead
+        # reading are left unasserted so the obs gate's timing noise
+        # stays out of this suite (TestBenchGates checks each gate), and
+        # the adaptive stop, which only steadies that reading, is off.
+        from repro.experiments import bench
+        from repro.system.batch import MIN_EVENTS_PER_CORE
+
+        monkeypatch.setattr(bench, "OBS_MAX_PAIRS", bench.OBS_MIN_PAIRS)
         out = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--jobs", "1", "--assert-warm",
-                   "--out", str(out)])
-        assert rc == 0
+        main(["bench", "--jobs", "1", "--out", str(out)])
         import json as json_mod
         report = json_mod.loads(out.read_text())
+        assert set(report) == {"schema", "jobs", "matrix", "sweep",
+                               "obs_overhead"}
+        assert report["schema"] == 7 and report["jobs"] == 1
+        # Every cell stays on the scalar loop a cold report runs.
+        assert report["matrix"]["per_core"] < MIN_EVENTS_PER_CORE
         sweep = report["sweep"]
-        assert sweep["serial_jobs"] == 1
         assert sweep["parallel_jobs"] == 1
         assert sweep["warm_jobs"] == 1
+        assert sweep["parallel_speedup"] is None
         assert sweep["warm_all_hits"] is True
-        assert report["jobs"] == 1
-        assert "trace_prewarm_s" in sweep
+        assert sweep["warm_cache_hits"] == report["matrix"]["cells"]
+        obs = report["obs_overhead"]
+        assert obs["disabled_is_noop"] is True
+        assert obs["counters_identical"] is True
         rendered = capsys.readouterr().out
-        assert "trace prewarm" in rendered
+        assert "warm sweep" in rendered and "observability" in rendered
 
-    def test_assert_warm_fails_on_slow_parallel_sweep(self, monkeypatch, capsys):
-        """jobs > 1 and speedup below the bar => exit 1 with a FAIL line."""
-        import repro.experiments.bench  # ensure the module is importable
 
-        def fake_run_bench(**kwargs):
-            return {
-                "schema": 2, "quick": True, "jobs": 2,
-                "matrix": {"workloads": [], "protocols": [], "cores": 8,
-                           "per_core": 500, "cells": 8},
-                "sweep": {"trace_prewarm_s": 0.0, "traces_packed": 0,
-                          "serial_cold_s": 1.0, "serial_jobs": 1,
-                          "parallel_cold_s": 1.25, "parallel_jobs": 2,
-                          "warm_s": 0.001, "warm_jobs": 2,
-                          "parallel_speedup": 0.8,
-                          "warm_speedup_vs_cold": 100.0,
-                          "warm_cache_hits": 8, "warm_simulated": 0,
-                          "warm_all_hits": True},
-                "single_run": {"workload": "kmeans", "protocol": "protozoa-mw",
-                               "cores": 16, "per_core": 2000, "repeats": 3,
-                               "accesses": 1, "accesses_per_sec": 1.0},
-            }
+def passing_bench_report():
+    """A schema-7 bench report that meets every gate."""
+    return {
+        "schema": 7, "jobs": 2,
+        "matrix": {"workloads": ["kmeans", "histogram", "fft"],
+                   "protocols": ["mesi", "protozoa-sw", "protozoa-sw+mr",
+                                 "protozoa-mw"],
+                   "cores": 8, "per_core": 500, "cells": 12},
+        "sweep": {"serial_cold_s": 1.0, "parallel_cold_s": 0.625,
+                  "parallel_jobs": 2, "parallel_speedup": 1.6,
+                  "warm_s": 0.005, "warm_jobs": 2, "warm_cache_hits": 12,
+                  "warm_simulated": 0, "warm_all_hits": True},
+        "obs_overhead": {"workload": "kmeans", "protocol": "protozoa-mw",
+                         "cores": 16, "per_core": 2000, "pairs": 8,
+                         "disabled_accesses_per_sec": 100.0,
+                         "enabled_accesses_per_sec": 95.0,
+                         "overhead_pct": 5.3, "disabled_is_noop": True,
+                         "counters_identical": True},
+    }
 
-        monkeypatch.setattr("repro.experiments.bench.run_bench", fake_run_bench)
-        rc = main(["bench", "--quick", "--assert-warm"])
+
+class TestBenchGates:
+    def bench(self, monkeypatch, capsys, report):
+        """Exit code and FAIL lines of ``repro bench`` over ``report``."""
+        monkeypatch.setattr("repro.experiments.bench.run_bench",
+                            lambda **kwargs: report)
+        rc = main(["bench"])
+        return rc, [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAIL:")]
+
+    def test_report_meeting_every_gate_exits_0(self, monkeypatch, capsys):
+        assert self.bench(monkeypatch, capsys,
+                          passing_bench_report()) == (0, [])
+
+    def test_one_job_sweep_skips_the_fan_out_gate(self, monkeypatch, capsys):
+        report = passing_bench_report()
+        report["sweep"].update(parallel_cold_s=1.25, parallel_jobs=1,
+                               parallel_speedup=None)
+        assert self.bench(monkeypatch, capsys, report) == (0, [])
+
+    @pytest.mark.parametrize("section,changes,fail", [
+        ("sweep", {"warm_cache_hits": 11, "warm_simulated": 1,
+                   "warm_all_hits": False}, "FAIL: warm sweep"),
+        ("sweep", {"parallel_cold_s": 1.25, "parallel_speedup": 0.8},
+         "FAIL: parallel cold sweep"),
+        ("obs_overhead", {"overhead_pct": 10.0},
+         "FAIL: enabled-observability overhead"),
+        ("obs_overhead", {"disabled_is_noop": False},
+         "FAIL: a run without REPRO_OBS"),
+        ("obs_overhead", {"counters_identical": False},
+         "FAIL: enabling observability changed"),
+    ], ids=["warm", "fan-out", "obs-overhead", "obs-noop", "obs-parity"])
+    def test_each_gate_fails_alone(self, monkeypatch, capsys, section,
+                                   changes, fail):
+        report = passing_bench_report()
+        report[section].update(changes)
+        rc, fails = self.bench(monkeypatch, capsys, report)
         assert rc == 1
-        assert "FAIL: parallel cold sweep" in capsys.readouterr().out
-        rc = main(["bench", "--quick", "--assert-warm",
-                   "--min-parallel-speedup", "0.75"])
-        assert rc == 0
+        assert len(fails) == 1 and fails[0].startswith(fail)
 
 
 class TestEventsCommand:

@@ -30,33 +30,42 @@ def packed(workload: str, cores: int = 4, per_core: int = 300,
         build_streams(workload, cores=cores, per_core=per_core, seed=seed))
 
 
-def run_pair(kind, workload: str = "kmeans", **kwargs):
-    trace = packed(workload)
-    config = SystemConfig(protocol=kind, cores=4, check_values=False)
-    scalar = simulate(trace, config, obs=True, batch=False, **kwargs)
-    batched = simulate(trace, config, obs=True, batch=True, **kwargs)
+def run_pair(kind, workload: str = "kmeans", cores: int = 4,
+             per_core: int = 300):
+    trace = packed(workload, cores=cores, per_core=per_core)
+    config = SystemConfig(protocol=kind, cores=cores, check_values=False)
+    scalar = simulate(trace, config, obs=True, batch=False)
+    batched = simulate(trace, config, obs=True, batch=True)
     return scalar, batched
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+#: (protocol, cores, per_core) of each kmeans pair: every protocol at
+#: 4 x 300, and again at 8 x 400, where twice as many cores share its
+#: regions.
+CASES = ([pytest.param(kind, 4, 300, id=kind.value) for kind in ALL_KINDS]
+         + [pytest.param(kind, 8, 400, id=f"{kind.value}-8x400")
+            for kind in ALL_KINDS])
+
+
+@pytest.mark.parametrize("kind,cores,per_core", CASES)
 class TestParity:
-    def test_stats_identical(self, kind):
-        scalar, batched = run_pair(kind)
+    def test_stats_identical(self, kind, cores, per_core):
+        scalar, batched = run_pair(kind, cores=cores, per_core=per_core)
         assert batched.stats.to_dict() == scalar.stats.to_dict()
 
-    def test_metric_dumps_byte_identical(self, kind):
-        scalar, batched = run_pair(kind)
+    def test_metric_dumps_byte_identical(self, kind, cores, per_core):
+        scalar, batched = run_pair(kind, cores=cores, per_core=per_core)
         assert (json.dumps(batched.metrics, sort_keys=True)
                 == json.dumps(scalar.metrics, sort_keys=True))
 
-    def test_batching_engaged(self, kind):
-        _, batched = run_pair(kind)
+    def test_batching_engaged(self, kind, cores, per_core):
+        _, batched = run_pair(kind, cores=cores, per_core=per_core)
         assert batched.obs.events.batched > 0
 
-    def test_transaction_counters_match(self, kind):
+    def test_transaction_counters_match(self, kind, cores, per_core):
         # seen/hits/misses are transaction-level and sampling-independent;
         # batch-executed hits must land in them too.
-        scalar, batched = run_pair(kind)
+        scalar, batched = run_pair(kind, cores=cores, per_core=per_core)
         se, be = scalar.obs.events, batched.obs.events
         assert (be.seen, be.hits, be.misses) == (se.seen, se.hits, se.misses)
 

@@ -32,7 +32,11 @@ from tests.conftest import ALL_KINDS
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
-WORKLOADS = ("kmeans", "histogram", "linear-regression", "fft")
+#: (workload, cores, per_core): each workload at 4 x 300, and kmeans
+#: again at 8 x 400, where twice as many cores share its regions.
+SHAPES = ([pytest.param(workload, 4, 300, id=workload) for workload in
+           ("kmeans", "histogram", "linear-regression", "fft")]
+          + [pytest.param("kmeans", 8, 400, id="kmeans-8x400")])
 
 
 def packed(workload: str, cores: int = 4, per_core: int = 300,
@@ -56,9 +60,10 @@ def both(trace: PackedTrace, config: SystemConfig, **kwargs):
 
 class TestDifferential:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_batch_matches_scalar(self, kind, workload):
-        scalar, batched = both(packed(workload), config_for(kind))
+    @pytest.mark.parametrize("workload,cores,per_core", SHAPES)
+    def test_batch_matches_scalar(self, kind, workload, cores, per_core):
+        scalar, batched = both(packed(workload, cores, per_core),
+                               config_for(kind, cores))
         assert batched == scalar
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -124,12 +129,6 @@ SHORT_REPORT = textwrap.dedent("""\
 
 
 class TestEligibility:
-    def test_env_flag_off_declines(self, monkeypatch):
-        monkeypatch.setenv(batch_mod.ENV_FLAG, "0")
-        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
-        result = simulate(packed("kmeans"), config_for(ProtocolKind.MESI))
-        assert result.stats.accesses == 4 * 300
-
     def test_explicit_false_declines(self, monkeypatch):
         monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
         simulate(packed("kmeans"), config_for(ProtocolKind.MESI), batch=False)
@@ -143,7 +142,6 @@ class TestEligibility:
     def test_short_trace_declines_before_deriving(self, monkeypatch):
         # 16 cores x 25 accesses: below MIN_EVENTS_PER_CORE, so default
         # mode takes the scalar loop without deriving a single column.
-        monkeypatch.delenv(batch_mod.ENV_FLAG, raising=False)
         monkeypatch.setattr(batch_mod, "derived_for", _no_derive)
         monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
         trace = packed("kmeans", cores=16, per_core=25)
@@ -158,7 +156,6 @@ class TestEligibility:
                 ran.append(True)
                 super().run()
 
-        monkeypatch.delenv(batch_mod.ENV_FLAG, raising=False)
         monkeypatch.setattr(batch_mod, "_BatchRunner", Spy)
         # Each core re-reads its own 8 regions: reuse far above MIN_REUSE.
         per_core = batch_mod.MIN_EVENTS_PER_CORE
@@ -200,7 +197,7 @@ class TestEligibility:
         env = dict(os.environ, PYTHONPATH=SRC_DIR,
                    REPRO_CACHE_DIR=str(tmp_path / "cache"),
                    REPRO_TRACE_CACHE_DIR=str(tmp_path / "traces"))
-        for name in (batch_mod.ENV_FLAG, "REPRO_STORE", "REPRO_OBS"):
+        for name in ("REPRO_STORE", "REPRO_OBS"):
             env.pop(name, None)
         child = subprocess.run([sys.executable, "-c", SHORT_REPORT],
                                env=env, capture_output=True, text=True,
