@@ -434,14 +434,13 @@ def cmd_events(args) -> int:
 
     _apply_common(args)
     protocol = _protocol(args.protocol)
-    obs = ObsConfig(enabled=True, ring_size=args.ring,
-                    sample_every=args.sample, span_size=args.span)
+    obs = ObsConfig(enabled=True, ring_size=args.ring)
     streams = packed_streams(args.workload, cores=args.cores,
                              per_core=args.scale, seed=args.seed)
-    # Scalar loop, always: this command's product is the per-transaction
-    # record stream, which the batch engine deliberately does not emit.
+    # The ring makes the run take the scalar loop: every transaction
+    # seals a record.
     result = simulate(streams, _config(args, protocol), name=args.workload,
-                      obs=obs, batch=False)
+                      obs=obs)
     events = result.obs.events
     if args.summary:
         summary = events.summary()
@@ -876,12 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=int, default=4096,
                    help="event ring-buffer capacity (default 4096; oldest "
                         "events are overwritten beyond it)")
-    p.add_argument("--sample", type=int, default=1,
-                   help="keep 1-in-N transactions (default 1: all)")
-    p.add_argument("--span", type=int, default=1,
-                   help="admit sampled transactions in contiguous spans of "
-                        "K (default 1: plain every-Nth sampling); kept "
-                        "bursts make message sequences readable in context")
     p.add_argument("--core", type=int, default=None,
                    help="only events issued by this core")
     p.add_argument("--op", default=None, choices=["r", "w", "R", "W"],

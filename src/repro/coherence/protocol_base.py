@@ -43,7 +43,6 @@ from repro.memory.fixed_cache import FixedCache
 from repro.memory.mshr import MSHRFile
 from repro.memory.sector_cache import SectorCache
 from repro.memory.predictor import SpatialPredictor, make_predictor
-from repro.obs.events import F_ACTIONS, F_GRANTED, F_MSGS
 from repro.stats.counters import RunStats
 
 _STATE_RANK = {LineState.S: 0, LineState.E: 1, LineState.M: 2}
@@ -96,15 +95,14 @@ class CoherenceProtocol:
         self.trace_hook = None
         # Observability (repro.obs): None when disabled, which keeps every
         # hook in the transaction loop at one attribute load + None test.
-        # ``_obs_events`` aliases the session's event trace and
-        # ``_obs_scratch`` the flat scratch-counter slot list so the hot
-        # path never chases two attributes; slot indices (hit/miss by op,
-        # action by kind) are assigned once in attach_obs.
+        # ``_obs_events`` aliases the session's event ring (None without
+        # one, as under REPRO_OBS=1) and ``_obs_scratch`` the flat
+        # scratch-counter slot list so the hot path never chases two
+        # attributes; slot indices (action by kind) are assigned once in
+        # attach_obs.
         self._obs = None
         self._obs_events = None
         self._obs_scratch = None
-        self._sc_hit = (0, 0)    # (read, write) — indexed by is_write
-        self._sc_miss = (0, 0)
         self._sc_action: Dict[str, int] = {}
         # Batch execution (repro.system.batch): called as
         # (core, region, victim_or_None) before this engine reads the
@@ -119,13 +117,14 @@ class CoherenceProtocol:
         Everything expensive happens here, once, so the per-event cost
         stays off the hot path:
 
-        * the event trace needs no wiring at all — :meth:`_access` and
-          :meth:`_send` emit to it inline, gated on an *open record*, so
-          sampled-out transactions never pay a Python call per message
-          (``trace_hook`` stays a purely user-facing hook);
-        * the metrics registry hands out *scratch* counter slots — hit,
-          miss, and directory-action counts become plain list-index adds,
-          folded into labeled series on any registry read — and *bound*
+        * the event ring needs no wiring at all — :meth:`_access` and
+          :meth:`_send` emit to it directly (``trace_hook`` stays a
+          purely user-facing hook); hit and miss totals need no
+          recording either, since :func:`~repro.obs.record_run_metrics`
+          derives them from ``RunStats``;
+        * the metrics registry hands out *scratch* counter slots —
+          directory-action counts become plain list-index adds, folded
+          into labeled series on any registry read — and *bound*
           histograms for the network accountant, whose value-indexed
           count lists are installed directly on the accountant and
           incremented inline per transfer (no closure call),
@@ -146,14 +145,6 @@ class CoherenceProtocol:
             return
         if obs.metrics is not None:
             scratch = obs.metrics.counter_scratch()
-            self._sc_hit = (
-                scratch.slot("repro_txn_total", op="read", outcome="hit"),
-                scratch.slot("repro_txn_total", op="write", outcome="hit"),
-            )
-            self._sc_miss = (
-                scratch.slot("repro_txn_total", op="read", outcome="miss"),
-                scratch.slot("repro_txn_total", op="write", outcome="miss"),
-            )
             self._sc_action = {
                 kind: scratch.slot("repro_actions_total", kind=kind)
                 for kind in self.ACTION_KINDS
@@ -181,9 +172,7 @@ class CoherenceProtocol:
             sc[self._sc_action[kind]] += 1
         events = self._obs_events
         if events is not None:
-            rec = events._open
-            if rec is not None:
-                rec[F_ACTIONS].append([kind, target])
+            events.action(kind, target)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -261,39 +250,18 @@ class CoherenceProtocol:
             else:
                 stats.read_hits += 1
                 self._do_read(core, region, rng)
-            # Hits send no messages, so the whole observability cost is
-            # one scratch add and one sealed-record call at the end.
-            sc = self._obs_scratch
-            if sc is not None:
-                sc[self._sc_hit[is_write]] += 1
+            # Hits send no messages: one sealed-record call at the end.
             obs_events = self._obs_events
             if obs_events is not None:
-                # Sampled-out fast path, inlined from EventTrace.hit():
-                # at the env-default 1-in-8 rate most hits need only the
-                # hit counter (seen/sampled_out are derived), and the
-                # call into hit() is the bulk of their cost.  Keep in
-                # lockstep with _admit().
-                skip = obs_events._skip_left
-                if skip and not obs_events._admit_left:
-                    obs_events._skip_left = skip - 1
-                    obs_events.hits += 1
-                else:
-                    obs_events.hit(core, is_write, addr, size, pc,
-                                   self._hit_latency)
+                obs_events.hit(core, is_write, addr, size, pc,
+                               self._hit_latency)
             return self._hit_latency
 
         # Miss path: open the record first so messages/actions/grant
         # emitted while serving the miss attach to it.
         obs_events = self._obs_events
         if obs_events is not None:
-            # Sampled-out fast path, inlined (see the hit path above);
-            # the miss itself is counted after _miss below.
-            skip = obs_events._skip_left
-            if skip and not obs_events._admit_left:
-                obs_events._skip_left = skip - 1
-                obs_events._open = None
-            else:
-                obs_events.begin(core, is_write, addr, size, pc)
+            obs_events.begin(core, is_write, addr, size, pc)
         latency = self._miss(core, is_write, region, rng, pc)
         if is_write:
             self._do_write(core, region, rng)
@@ -301,14 +269,8 @@ class CoherenceProtocol:
             self._do_read(core, region, rng)
         if self._check_invariants:
             self.check_region_invariants(region)
-        sc = self._obs_scratch
-        if sc is not None:
-            sc[self._sc_miss[is_write]] += 1
         if obs_events is not None:
-            if obs_events._open is None:
-                obs_events.misses += 1
-            else:
-                obs_events.end(latency, hit=False)
+            obs_events.end(latency, hit=False)
         return latency
 
     # -- batch-execution hooks (repro.system.batch) ---------------------
@@ -444,9 +406,7 @@ class CoherenceProtocol:
         granted = self._grant(core, region, req, is_write, entry)
         obs_events = self._obs_events
         if obs_events is not None:
-            rec = obs_events._open
-            if rec is not None:
-                rec[F_GRANTED] = granted.name
+            obs_events.grant(granted)
         payload_words = popcount(payload_mask)
         supplier = (self._three_hop_supplier(payload_mask)
                     if payload_words and legs else None)
@@ -515,13 +475,7 @@ class CoherenceProtocol:
             self.trace_hook(mtype, src_node, dst_node, payload_words)
         obs_events = self._obs_events
         if obs_events is not None:
-            # Inline EventTrace.message(): transactions whose record was
-            # sampled out pay one attribute load + None test per message
-            # instead of a Python call.
-            rec = obs_events._open
-            if rec is not None:
-                rec[F_MSGS].append(
-                    [mtype.label, src_node, dst_node, payload_words])
+            obs_events.message(mtype, src_node, dst_node, payload_words)
         stats = self.stats
         if mtype.at_l1:
             stats.traffic.control[mtype.control_key] += CONTROL_MESSAGE_BYTES

@@ -72,7 +72,7 @@ from repro.store import NAMESPACE_RESULTS, BlobStore, get_store
 from repro.store.fs import default_trace_root
 from repro.system.machine import simulate
 from repro.system.results import RunResult
-from repro.trace._cache import packed_streams
+from repro.trace._cache import cache_enabled, packed_streams
 from repro.trace.workloads import build_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
@@ -183,10 +183,6 @@ def _worker_run_chunk(payloads: List[Dict]) -> List[str]:
         injector.on_worker_chunk()
     return [_serialize_result(execute_spec(RunSpec.from_payload(payload)))
             for payload in payloads]
-
-
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
 def default_jobs() -> int:
@@ -509,13 +505,20 @@ class ExperimentEngine:
             return specs
         size = max(1, -(-len(specs) // (self.jobs * _CHUNKS_PER_WORKER)))
         chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
-        futures = {
-            pool.submit(_worker_run_chunk, [s.payload() for s in chunk]): chunk
-            for chunk in chunks
-        }
+        futures = {}
         failed: List[RunSpec] = []
-        broken = False
         worker_died = False
+        for index, chunk in enumerate(chunks):
+            try:
+                futures[pool.submit(_worker_run_chunk,
+                                    [s.payload() for s in chunk])] = chunk
+            except BrokenProcessPool:
+                # A worker died while later chunks were still going out:
+                # this chunk and the rest never reached the pool.
+                worker_died = True
+                failed.extend(specs[index * size:])
+                break
+        broken = worker_died
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, timeout=self.retry.timeout_s,

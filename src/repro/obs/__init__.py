@@ -3,20 +3,23 @@
 Three independent facilities, bundled into one :class:`Observability`
 session that the machine assembly threads through a run:
 
-* :class:`~repro.obs.events.EventTrace` — a bounded ring buffer of
-  structured per-transaction records (request -> directory actions ->
-  message sequence -> granted state), with span-based 1-in-N sampling and
-  JSONL export (``repro events``);
 * :class:`~repro.obs.metrics.MetricsRegistry` — named, labeled counters
   and histograms unifying the ad-hoc :mod:`repro.stats` counters behind a
   mergeable wire form (per-worker registries are merged back across the
   experiment engine's process pool);
 * :class:`~repro.obs.timers.PhaseTimers` — wall-clock phase timing
-  (simulate, flush) surfaced as ``result.phase_seconds``.
+  (simulate, flush) surfaced as ``result.phase_seconds``;
+* :class:`~repro.obs.events.EventTrace` — a bounded ring buffer of
+  structured per-transaction records (request -> directory actions ->
+  message sequence -> granted state) with JSONL export.  Only a caller
+  that reads it gets one (``obs=True``, an :class:`ObsConfig`, or
+  ``repro events``); ``REPRO_OBS=1`` records the metrics and timers a
+  run ships, and no ring.  A run with a ring takes the scalar issue
+  loop, so every transaction has its record.
 
 **Overhead contract.** Observability is *off by default* (``REPRO_OBS=0``)
 and every hook in the hot path is a single attribute load plus an
-``is None`` test; ``repro bench`` measures the enabled-vs-disabled
+``is None`` test; ``repro bench`` measures the env-enabled-vs-disabled
 overhead and fails when it reaches 10%.  With observability *on*, protocol
 counters remain bit-identical to an untraced run — the hooks only read
 simulation state, never mutate it (pinned by
@@ -41,61 +44,42 @@ class ObsConfig:
     """What to observe, and how much to retain.
 
     ``enabled=False`` (the default, and ``REPRO_OBS=0``) turns every hook
-    into a no-op; the remaining fields only matter when enabled.
+    into a no-op.  An enabled session always records metrics and phase
+    timers; ``events`` adds the per-transaction ring of ``ring_size``
+    records.
     """
 
     enabled: bool = False
     events: bool = True        # per-transaction event trace
-    metrics: bool = True       # labeled counter/histogram registry
-    timers: bool = True        # wall-clock phase timers
     ring_size: int = 4096      # events retained (oldest overwritten)
-    sample_every: int = 1      # keep 1-in-N transactions
-    span_size: int = 1         # admit/skip in contiguous spans of K
 
     @classmethod
     def from_env(cls, env=None) -> "ObsConfig":
-        """``REPRO_OBS`` / ``REPRO_OBS_RING`` / ``REPRO_OBS_SAMPLE`` /
-        ``REPRO_OBS_SPAN``.
+        """``REPRO_OBS``: the metrics and timers a run ships, no ring.
 
-        Environment-enabled observability records the ring in sampled
-        bursts by default (1-in-8 transactions, spans of 4): counters,
-        metrics, and histograms stay *exact* regardless — sampling only
-        thins the per-transaction record stream, which is what keeps the
-        enabled tax under the 10%% budget ``repro bench`` enforces.  Set
-        ``REPRO_OBS_SAMPLE=1`` for a full-fidelity ring (the
-        ``ObsConfig`` constructor default, and what ``repro events``
-        uses).
+        Nothing downstream of an env-enabled run reads a ring (pool
+        workers ship ``RunResult.to_dict()``, which never carries one),
+        so it is not built, and the run keeps the batched issue loop.
         """
         env = os.environ if env is None else env
         enabled = str(env.get("REPRO_OBS", "0")).lower() in _TRUTHY
-        if not enabled:
-            return cls()
-        return cls(
-            enabled=True,
-            ring_size=max(1, int(env.get("REPRO_OBS_RING", "4096"))),
-            sample_every=max(1, int(env.get("REPRO_OBS_SAMPLE", "8"))),
-            span_size=max(1, int(env.get("REPRO_OBS_SPAN", "4"))),
-        )
+        return cls(enabled=True, events=False) if enabled else cls()
 
 
 class Observability:
-    """One run's worth of observability state (events + metrics + timers)."""
+    """One run's worth of observability state (metrics + timers + events)."""
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config if config is not None else ObsConfig.from_env()
         enabled = self.config.enabled
         self.events: Optional[EventTrace] = (
-            EventTrace(capacity=self.config.ring_size,
-                       sample_every=self.config.sample_every,
-                       span=self.config.span_size)
+            EventTrace(capacity=self.config.ring_size)
             if enabled and self.config.events else None
         )
         self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if enabled and self.config.metrics else None
-        )
+            MetricsRegistry() if enabled else None)
         self.timers: Optional[PhaseTimers] = (
-            PhaseTimers() if enabled and self.config.timers else None
-        )
+            PhaseTimers() if enabled else None)
 
     @property
     def enabled(self) -> bool:
@@ -111,7 +95,7 @@ def resolve_obs(obs: Union[None, bool, ObsConfig, "Observability"]
     * ``False`` — force-disabled regardless of environment (timed bench
       regions use this so a stray ``REPRO_OBS=1`` cannot pollute numbers).
     * :class:`ObsConfig` / ``True`` — build a session from the config
-      (``True`` means "all defaults, enabled").
+      (``True`` means "all defaults, enabled", event ring included).
     * :class:`Observability` — use the session as-is (callers that want
       to accumulate across runs).
     """

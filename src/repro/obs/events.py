@@ -1,7 +1,7 @@
 """The structured per-transaction event trace.
 
-Every memory access is one coherence transaction; with tracing enabled the
-protocol engine seals one record per admitted transaction.  **Hits** send
+Every memory access is one coherence transaction; with a ring attached
+the protocol engine seals one record per transaction.  **Hits** send
 no messages (the fast path touches only the local L1), so the engine seals
 a complete hit record with a single :meth:`EventTrace.hit` call at
 transaction end.  **Misses** open a record first (:meth:`begin`), append
@@ -16,32 +16,17 @@ returns and JSONL export writes) is:
 
 **Sealed records are not dicts.**  Internally a record is a fixed 11-slot
 list (see the ``F_*`` field indices); dict materialization is deferred to
-read time.  That matters because sealing is the hot path's dominant
-per-event cost: once the ring is full, :meth:`hit` *overwrites the slots
-of the evicted record's list in place* — eleven list stores, zero
-allocation — instead of building a 10-key dict and two fresh lists per
-event.  Reads (``records()``, ``filtered()``, ``summary()``) touch at
-most ``capacity`` retained records, so materialization cost is bounded by
-the ring, not the trace length.
+read time, so sealing a hit builds one list instead of a 10-key dict and
+two fresh lists.  Reads (``records()``, ``filtered()``, ``summary()``)
+touch at most ``capacity`` retained records, so materialization cost is
+bounded by the ring, not the trace length.
 
 Retention is a bounded **ring buffer**: the newest ``capacity`` sealed
 records survive, older ones are overwritten (counted in ``dropped``).
-``sample_every=N`` keeps 1-in-N transactions, admitted in contiguous
-*spans* of ``span`` transactions (admit ``span``, skip
-``span * (N - 1)``, repeat): the sampling decision is made once per span
-boundary instead of once per event, and the ring holds whole bursts of
-consecutive transactions, which keeps message/action sequences
-interpretable in context.  ``span=1`` (the default) reproduces plain
-every-Nth sampling.  Global counters (``seen``/``hits``/``misses``) are
-transaction-level: they count every transaction whether or not its record
-was admitted, so they match :class:`~repro.stats.counters.RunStats`
-regardless of sampling.
-
-Transactions executed by the batched run-ahead engine
-(:mod:`repro.system.batch`) are proven hits dispatched in bulk; they are
-counted via :meth:`note_batched` (``seen``/``hits``/``batched``) but
-never materialize records — the ring holds the scalar-executed
-transactions (misses, evictions, and the stretches around them).
+Every transaction seals one record: a run with a ring attached takes
+the scalar issue loop (the batch runner in :mod:`repro.system.batch`
+declines), so the global counters (``seen``/``hits``/``misses``) match
+:class:`~repro.stats.counters.RunStats`.
 """
 
 from __future__ import annotations
@@ -77,42 +62,25 @@ def _to_dict(rec: List) -> Dict:
 
 
 class EventTrace:
-    """Bounded, span-sampled ring of per-transaction records."""
+    """Bounded ring of per-transaction records."""
 
-    __slots__ = ("capacity", "sample_every", "span", "recorded",
-                 "dropped", "hits", "misses", "batched",
-                 "_ring", "_next", "_open", "_always", "_admit_left",
-                 "_skip_left")
+    __slots__ = ("capacity", "dropped", "hits", "misses",
+                 "_ring", "_next", "_open")
 
-    def __init__(self, capacity: int = 4096, sample_every: int = 1,
-                 span: int = 1):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if span < 1:
-            raise ValueError("span must be >= 1")
         self.capacity = capacity
-        self.sample_every = sample_every
-        self.span = span
-        self.recorded = 0     # records sealed (including later-overwritten)
         self.dropped = 0      # sealed records overwritten by ring wrap
-        self.hits = 0         # transaction-level (sampling-independent)
+        self.hits = 0         # transaction-level
         self.misses = 0
-        self.batched = 0      # hits executed by the batch engine (no records)
         self._ring: List[List] = []
         self._next = 0        # overwrite cursor once the ring is full
         self._open: Optional[List] = None
-        # Span-sampling state: admit while _admit_left, then skip while
-        # _skip_left, then recompute both at the span boundary.  _always
-        # short-circuits the whole machine when sampling is off.
-        self._always = sample_every == 1
-        self._admit_left = 0
-        self._skip_left = 0
 
     @property
     def seen(self) -> int:
-        """Transactions observed (sampled or not).
+        """Transactions observed.
 
         Derived, not maintained: every transaction is counted exactly
         once as a hit or a miss, so the total costs nothing on the hot
@@ -120,98 +88,20 @@ class EventTrace:
         """
         return self.hits + self.misses
 
-    @property
-    def sampled_out(self) -> int:
-        """Transactions whose record was skipped by sampling.
-
-        Derived: everything seen that neither sealed a record nor was
-        bulk-counted by the batch engine was sampled out.
-        """
-        return self.hits + self.misses - self.recorded - self.batched
-
-    def _admit(self) -> bool:
-        """One sampling decision; hit/miss counting is the caller's job.
-
-        :meth:`hit` and :meth:`begin` inline this logic (one Python call
-        per transaction is most of the sampled-out cost), and the
-        protocol engine's hit and miss paths additionally inline the
-        sampled-out branch before calling :meth:`hit`/:meth:`begin` at
-        all; keep the copies in lockstep.
-        """
-        if self._admit_left:
-            self._admit_left -= 1
-            return True
-        if self._skip_left:
-            self._skip_left -= 1
-            return False
-        self._admit_left = self.span - 1
-        self._skip_left = self.span * (self.sample_every - 1)
-        return True
-
     # -- recording hooks (called by the protocol engine) ---------------------
 
     def hit(self, core: int, is_write: bool, addr: int, size: int,
             pc: int, latency: int) -> None:
-        """Seal a complete hit record in one call (hits send no messages).
-
-        Steady state (ring full) allocates nothing: the evicted record's
-        slot list is overwritten in place.
-        """
-        seq = self.hits + self.misses
+        """Seal a complete hit record in one call (hits send no messages)."""
+        self._seal([self.hits + self.misses, core, "W" if is_write else "R",
+                    addr, size, pc, True, latency, None, _NONE, _NONE])
         self.hits += 1
-        if not self._always:
-            # _admit(), inlined: the sampled-out return is the common
-            # case at high sample rates and must not pay a second call.
-            left = self._admit_left
-            if left:
-                self._admit_left = left - 1
-            else:
-                skip = self._skip_left
-                if skip:
-                    self._skip_left = skip - 1
-                    return
-                self._admit_left = self.span - 1
-                self._skip_left = self.span * (self.sample_every - 1)
-        ring = self._ring
-        if len(ring) >= self.capacity:
-            rec = ring[self._next]
-            rec[F_SEQ] = seq
-            rec[F_CORE] = core
-            rec[F_OP] = "W" if is_write else "R"
-            rec[F_ADDR] = addr
-            rec[F_SIZE] = size
-            rec[F_PC] = pc
-            rec[F_HIT] = True
-            rec[F_LATENCY] = latency
-            rec[F_GRANTED] = None
-            rec[F_ACTIONS] = _NONE
-            rec[F_MSGS] = _NONE
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
-        else:
-            ring.append([seq, core, "W" if is_write else "R", addr, size,
-                         pc, True, latency, None, _NONE, _NONE])
-        self.recorded += 1
 
     def begin(self, core: int, is_write: bool, addr: int, size: int,
               pc: int) -> None:
         """Open a record for a transaction that will accumulate events."""
-        seq = self.hits + self.misses
-        if not self._always:
-            # _admit(), inlined (see hit()).  The transaction itself is
-            # counted by end(), whether or not a record was opened.
-            left = self._admit_left
-            if left:
-                self._admit_left = left - 1
-            else:
-                skip = self._skip_left
-                if skip:
-                    self._skip_left = skip - 1
-                    self._open = None
-                    return
-                self._admit_left = self.span - 1
-                self._skip_left = self.span * (self.sample_every - 1)
-        self._open = [seq, core, "W" if is_write else "R", addr, size, pc,
+        self._open = [self.hits + self.misses, core,
+                      "W" if is_write else "R", addr, size, pc,
                       None, 0, None, [], []]
 
     def message(self, mtype, src_node: int, dst_node: int,
@@ -235,7 +125,7 @@ class EventTrace:
             rec[F_GRANTED] = state.name
 
     def end(self, latency: int, hit: bool) -> None:
-        """Seal the open record (if admitted) and count the transaction."""
+        """Seal the open record (if any) and count the transaction."""
         if hit:
             self.hits += 1
         else:
@@ -246,6 +136,10 @@ class EventTrace:
         self._open = None
         rec[F_HIT] = hit
         rec[F_LATENCY] = latency
+        self._seal(rec)
+
+    def _seal(self, rec: List) -> None:
+        """Retain ``rec``, overwriting the oldest record once full."""
         ring = self._ring
         if len(ring) < self.capacity:
             ring.append(rec)
@@ -253,12 +147,6 @@ class EventTrace:
             ring[self._next] = rec
             self._next = (self._next + 1) % self.capacity
             self.dropped += 1
-        self.recorded += 1
-
-    def note_batched(self, count: int) -> None:
-        """Count ``count`` batch-executed hits (bulk; no records sealed)."""
-        self.hits += count
-        self.batched += count
 
     # -- reading -------------------------------------------------------------
 
@@ -316,13 +204,8 @@ class EventTrace:
         retained = len(self._ring)
         return {
             "transactions": self.seen,
-            "recorded": self.recorded,
             "retained": retained,
             "dropped": self.dropped,
-            "sampled_out": self.sampled_out,
-            "sample_every": self.sample_every,
-            "span": self.span,
-            "batched": self.batched,
             "hits": self.hits,
             "misses": self.misses,
             "mean_latency_retained": (
@@ -347,7 +230,6 @@ def summarize_jsonl(lines: Iterable[str]) -> Dict:
             rec.get("latency", 0), rec.get("granted"),
             rec.get("actions", ()), rec.get("msgs", ()),
         ])
-        trace.recorded += 1
         if rec.get("hit"):
             trace.hits += 1
         else:

@@ -438,9 +438,20 @@ def record_run_metrics(registry: MetricsRegistry, stats, **labels) -> None:
     """Project one run's :class:`RunStats` into the unified namespace.
 
     ``labels`` (typically ``protocol=...`` and ``workload=...``) are
-    attached to every series, so merged sweep registries stay separable.
+    attached to every series, so merged sweep registries stay separable,
+    except ``repro_txn_total{op,outcome}``: it carries only its own two
+    labels and is left out when zero, the wire form that result blobs
+    already in caches hold.
     """
     inc = registry.inc
+    for op, outcome, value in (
+        ("read", "hit", stats.read_hits),
+        ("write", "hit", stats.write_hits),
+        ("read", "miss", stats.read_misses),
+        ("write", "miss", stats.write_misses + stats.upgrade_misses),
+    ):
+        if value:
+            inc("repro_txn_total", value, op=op, outcome=outcome)
     inc("repro_instructions_total", stats.instructions, **labels)
     inc("repro_accesses_total", stats.reads, op="read", **labels)
     inc("repro_accesses_total", stats.writes, op="write", **labels)

@@ -48,17 +48,18 @@ heap traffic on the scalar path.  numpy, when importable, accelerates
 *deriving* the columns (:func:`repro.trace.derived.derive`); execution
 is identical with or without it.
 
-Observability (:mod:`repro.obs`) composes with batching: batched hits
-fold into the engine's scratch counter slots and are counted in bulk on
-the event trace (:meth:`EventTrace.note_batched`) at the same per-pop
-points where their ``RunStats`` effects fold, so metric dumps are
-byte-identical to an obs-enabled scalar run.  Scalar-executed
-transactions (misses, evictions, and the stretches around them) record
-normally — they are what the ring retains under batching.
+Observability (:mod:`repro.obs`) composes with batching without any
+code here: a batched hit records nothing live, because the metrics a
+run ships derive hit and miss totals from ``RunStats`` and the
+directory actions and messages it does record happen only in scalar
+transactions.  So metric dumps are byte-identical to an obs-enabled
+scalar run.  An event ring is the exception: it wants one record per
+transaction, so a run with a ring attached takes the scalar loop.
 
 Batch mode declines (returning the scalar path, never an error) when
 the stream is not packed, ``batch=False`` was passed, ``check_values``
-is on, or regions are wider than the 62-word mask columns.  With
+is on, an event ring is attached, or regions are wider than the 62-word
+mask columns.  With
 ``batch=None`` (the default) the trace decides: traces shorter than
 :data:`MIN_EVENTS_PER_CORE` per core or less reused than
 :data:`MIN_REUSE` run the scalar loop too.  ``batch=True`` bypasses
@@ -108,6 +109,9 @@ def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     config = protocol.config
     if config.check_values:
         # Golden-value tracking needs every word write replayed.
+        return False
+    if protocol._obs_events is not None:
+        # An event ring records every transaction; batched hits have none.
         return False
     if config.words_per_region > MAX_MASK_WORDS:
         return False
@@ -196,13 +200,6 @@ class _BatchRunner:
         next_hard = self._next_hard
         issued = 0
         instructions = 0
-        # Observability composes: batched hits fold into the same scratch
-        # slots the scalar hot path increments, and the event trace counts
-        # them in bulk (no records — those stay scalar-only).
-        obs_events = protocol._obs_events
-        sc = protocol._obs_scratch
-        sc_hit_read, sc_hit_write = protocol._sc_hit if sc is not None \
-            else (0, 0)
         # Everything a pop binds about its core, behind one list index:
         # a pop frequently retires a single event (exact-order regime),
         # so per-core state must cost one unpack, not a dozen lookups.
@@ -317,16 +314,10 @@ class _BatchRunner:
                 if n_reads:
                     stats.reads += n_reads
                     stats.read_hits += n_reads
-                    if sc is not None:
-                        sc[sc_hit_read] += n_reads
                 if n_writes:
                     stats.writes += n_writes
                     stats.write_hits += n_writes
                     protocol._seq += seq_add
-                    if sc is not None:
-                        sc[sc_hit_write] += n_writes
-                if obs_events is not None and n_reads + n_writes:
-                    obs_events.note_batched(n_reads + n_writes)
                 cursor[core] = i
                 clocks[core] = clock
                 if i < n_events:

@@ -43,11 +43,12 @@ def simulate(streams: Streams, config: SystemConfig,
 
     ``obs`` selects observability (:mod:`repro.obs`): ``None`` consults
     ``REPRO_OBS`` (default off — every hook is then a no-op), ``False``
-    forces it off, and an :class:`~repro.obs.ObsConfig` or live
-    :class:`~repro.obs.Observability` session enables it.  Enabled or
-    not, the simulated counters are bit-identical; an enabled session
-    additionally ships the event trace (``result.obs``), a metrics dump
-    (``result.metrics``), and phase timings (``result.phase_seconds``).
+    forces it off, and ``True``, an :class:`~repro.obs.ObsConfig` or a
+    live :class:`~repro.obs.Observability` session enables it.  Enabled
+    or not, the simulated counters are bit-identical; an enabled session
+    additionally ships a metrics dump (``result.metrics``) and phase
+    timings (``result.phase_seconds``), and the session itself
+    (``result.obs``) holds the event ring when the caller asked for one.
     """
     session = resolve_obs(obs)
     protocol = build_protocol(config)
@@ -55,12 +56,12 @@ def simulate(streams: Streams, config: SystemConfig,
     stats = simulator.run(max_accesses=max_accesses)
     result = RunResult(name=name, config=config, stats=stats, protocol=protocol)
     if session is not None:
+        # resolve_obs hands back enabled sessions only, and an enabled
+        # session always has metrics and timers.
         result.obs = session
-        if session.metrics is not None:
-            record_run_metrics(session.metrics, stats,
-                               protocol=config.protocol.value,
-                               workload=name or "unnamed")
-            result.metrics = session.metrics.to_dict()
-        if session.timers is not None:
-            result.phase_seconds = session.timers.to_dict()
+        record_run_metrics(session.metrics, stats,
+                           protocol=config.protocol.value,
+                           workload=name or "unnamed")
+        result.metrics = session.metrics.to_dict()
+        result.phase_seconds = session.timers.to_dict()
     return result

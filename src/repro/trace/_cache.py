@@ -23,8 +23,8 @@ generators.  The cache shares the result cache's pluggable blob store
   counters), then the trace is rebuilt from the generators and the
   entry rewritten (atomically and durably, so concurrent builders and
   mid-write kills never produce torn files).
-* **Switches.** ``REPRO_TRACE_CACHE=0`` disables just this cache;
-  ``REPRO_CACHE=0`` disables it along with the result cache.
+* **Switch.** ``REPRO_CACHE=0`` disables it along with the result
+  cache (:func:`cache_enabled`).
 * **Packed traces only.** Batch execution's derived columns are
   memoized on the trace object (:func:`repro.trace.derived.derived_for`),
   not stored.  ``.drv`` sidecars that older builds wrote beside the
@@ -47,10 +47,8 @@ from repro.trace.packed import FORMAT_VERSION, PackedTrace
 from repro.trace.workloads import build_streams
 
 
-def trace_cache_enabled() -> bool:
-    own = os.environ.get("REPRO_TRACE_CACHE", "")
-    if own:
-        return own != "0"
+def cache_enabled() -> bool:
+    """``REPRO_CACHE``: the one switch of the result and trace caches."""
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
@@ -72,7 +70,7 @@ class TraceCache:
     def __init__(self, *, enabled: Optional[bool] = None,
                  store: Optional[BlobStore] = None):
         self._store = store
-        self.enabled = trace_cache_enabled() if enabled is None else enabled
+        self.enabled = cache_enabled() if enabled is None else enabled
         self.hits = 0
         self.misses = 0
         self.built = 0

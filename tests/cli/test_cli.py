@@ -270,15 +270,13 @@ class TestEventsCommand:
         assert summary["hits"] + summary["misses"] == 160
         assert "simulate" in summary["phase_seconds"]
 
-    def test_ring_and_sample_flags(self, capsys):
+    def test_ring_flag(self, capsys):
         import json as json_mod
-        assert main(self.ARGS + ["--ring", "16", "--sample", "4",
-                                 "--summary"]) == 0
+        assert main(self.ARGS + ["--ring", "16", "--summary"]) == 0
         summary = json_mod.loads(capsys.readouterr().out)
         assert summary["transactions"] == 160
-        assert summary["recorded"] == 40
         assert summary["retained"] == 16
-        assert summary["sample_every"] == 4
+        assert summary["dropped"] == 160 - 16
 
     def test_out_file_then_input_summary(self, tmp_path, capsys):
         import json as json_mod

@@ -1,4 +1,4 @@
-"""EventTrace: ring-buffer retention, sampling, filtering, JSONL export."""
+"""EventTrace: ring-buffer retention, filtering, JSONL export."""
 
 import io
 import json
@@ -42,14 +42,14 @@ class TestRecording:
         assert rec["granted"] == "E"
 
     def test_hooks_without_open_record_are_noops(self):
-        trace = EventTrace(sample_every=2)
-        trace.begin(0, False, 0, 8, 0)
-        trace.end(1, True)
-        trace.begin(0, False, 0, 8, 0)  # seq 1: sampled out
+        trace = EventTrace()
+        record_one(trace)
         trace.message(type("T", (), {"label": "X"})(), 0, 0, 0)
         trace.action("probe_read", 0)
-        trace.end(1, True)
-        assert len(trace) == 1
+        trace.grant(type("S", (), {"name": "E"}))
+        (rec,) = trace.records()
+        assert rec["msgs"] == [] and rec["actions"] == []
+        assert "granted" not in rec
 
     def test_hit_miss_counters(self):
         trace = EventTrace()
@@ -66,7 +66,6 @@ class TestRing:
         for i in range(10):
             record_one(trace, addr=i)
         assert trace.seen == 10
-        assert trace.recorded == 10
         assert trace.dropped == 6
         assert [r["addr"] for r in trace.records()] == [6, 7, 8, 9]
 
@@ -87,66 +86,6 @@ class TestRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventTrace(capacity=0)
-
-
-class TestSampling:
-    def test_sample_every_n_keeps_every_nth(self):
-        trace = EventTrace(sample_every=3)
-        for i in range(9):
-            record_one(trace, addr=i)
-        assert trace.seen == 9
-        assert trace.recorded == 3
-        assert trace.sampled_out == 6
-        assert [r["seq"] for r in trace.records()] == [0, 3, 6]
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EventTrace(sample_every=0)
-
-
-class TestSpanSampling:
-    def test_spans_admit_contiguous_bursts(self):
-        # span=2, sample_every=3: admit 2, skip 2*(3-1)=4, repeat.
-        trace = EventTrace(sample_every=3, span=2)
-        for i in range(12):
-            record_one(trace, addr=i)
-        assert [r["seq"] for r in trace.records()] == [0, 1, 6, 7]
-        assert trace.seen == 12
-        assert trace.recorded == 4
-        assert trace.sampled_out == 8
-
-    def test_span_one_reproduces_every_nth(self):
-        trace = EventTrace(sample_every=3, span=1)
-        for i in range(9):
-            record_one(trace, addr=i)
-        assert [r["seq"] for r in trace.records()] == [0, 3, 6]
-
-    def test_span_ignored_when_sampling_off(self):
-        trace = EventTrace(sample_every=1, span=4)
-        for i in range(6):
-            record_one(trace, addr=i)
-        assert trace.recorded == 6
-        assert trace.sampled_out == 0
-
-    def test_span_applies_to_hits_and_misses_alike(self):
-        trace = EventTrace(sample_every=2, span=2)
-        for i in range(8):
-            if i % 2:
-                record_one(trace, addr=i, hit=False)
-            else:
-                trace.hit(0, False, i, 8, 0, 1)
-        # admit 0,1 / skip 2,3 / admit 4,5 / skip 6,7
-        assert [r["seq"] for r in trace.records()] == [0, 1, 4, 5]
-        assert trace.hits == 4
-        assert trace.misses == 4
-
-    def test_span_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EventTrace(span=0)
-
-    def test_span_reported_in_summary(self):
-        trace = EventTrace(sample_every=4, span=8)
-        assert trace.summary()["span"] == 8
 
 
 class TestHitFastPath:
@@ -172,40 +111,6 @@ class TestHitFastPath:
         trace.hit(0, False, 16, 8, 0, 1)
         assert trace.dropped == 1
         assert [r["addr"] for r in trace.records()] == [8, 16]
-
-    def test_sampled_out_hits_still_count(self):
-        trace = EventTrace(sample_every=4)
-        for i in range(8):
-            trace.hit(0, False, i, 8, 0, 1)
-        assert trace.hits == 8
-        assert trace.recorded == 2
-
-
-class TestNoteBatched:
-    def test_bulk_counts_without_records(self):
-        trace = EventTrace()
-        trace.note_batched(100)
-        assert trace.seen == 100
-        assert trace.hits == 100
-        assert trace.batched == 100
-        assert len(trace) == 0
-
-    def test_batched_interleaves_with_scalar_counting(self):
-        trace = EventTrace()
-        record_one(trace, hit=False)
-        trace.note_batched(10)
-        record_one(trace, hit=True)
-        assert trace.seen == 12
-        assert trace.hits == 11
-        assert trace.misses == 1
-        assert len(trace) == 2
-
-    def test_batched_reported_in_summary(self):
-        trace = EventTrace()
-        trace.note_batched(7)
-        summary = trace.summary()
-        assert summary["batched"] == 7
-        assert summary["transactions"] == 7
 
 
 class TestFiltering:

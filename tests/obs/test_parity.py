@@ -33,10 +33,11 @@ class TestCounterParity:
         traced = run(kind, obs=ObsConfig(enabled=True))
         assert plain.stats.to_dict() == traced.stats.to_dict()
 
-    def test_sampled_ring_changes_no_counter(self, kind):
+    def test_wrapped_ring_changes_no_counter(self, kind):
+        # 32 slots for 1600 transactions: the ring overwrites in place.
         plain = run(kind)
-        traced = run(kind, obs=ObsConfig(enabled=True, ring_size=32,
-                                         sample_every=7))
+        traced = run(kind, obs=ObsConfig(enabled=True, ring_size=32))
+        assert traced.obs.events.dropped == traced.stats.accesses - 32
         assert plain.stats.to_dict() == traced.stats.to_dict()
 
     def test_traced_run_observed_every_access(self, kind):
@@ -123,25 +124,25 @@ class TestResolveObs:
 
 
 class TestEnvDefaults:
-    """Env-enabled obs burst-samples the ring; the constructor does not."""
+    """Env-enabled obs records what a run ships; only callers get a ring."""
 
-    def test_env_enabled_defaults_to_burst_sampling(self):
+    def test_env_enabled_run_has_metrics_and_timers_and_no_ring(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        result = run(ProtocolKind.PROTOZOA_MW)
+        assert result.obs.events is None
+        assert result.protocol._obs_events is None
+        assert result.metrics["counters"]
+        assert set(result.phase_seconds) >= {"simulate", "flush"}
+
+    def test_from_env_builds_no_ring(self):
         config = ObsConfig.from_env({"REPRO_OBS": "1"})
-        assert config.enabled
-        assert config.sample_every == 8
-        assert config.span_size == 4
+        assert config == ObsConfig(enabled=True, events=False)
+        assert Observability(config).events is None
 
     def test_constructor_default_is_full_fidelity(self):
+        # obs=True / ObsConfig(enabled=True): a ring recording every
+        # transaction, on the scalar loop.
         config = ObsConfig(enabled=True)
-        assert config.sample_every == 1
-        assert config.span_size == 1
-
-    def test_env_sample_one_restores_full_fidelity(self):
-        config = ObsConfig.from_env({"REPRO_OBS": "1", "REPRO_OBS_SAMPLE": "1"})
-        assert config.sample_every == 1
-
-    def test_env_overrides_respected(self):
-        config = ObsConfig.from_env(
-            {"REPRO_OBS": "1", "REPRO_OBS_SAMPLE": "16", "REPRO_OBS_SPAN": "2"})
-        assert config.sample_every == 16
-        assert config.span_size == 2
+        assert config.events
+        assert Observability(config).events is not None

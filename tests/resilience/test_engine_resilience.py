@@ -5,6 +5,8 @@ asserts the engine still returns the complete, correct matrix — the
 contract ``repro chaos`` enforces end to end.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,23 @@ def as_dicts(results):
     return {spec.digest(): result.to_dict() for spec, result in results.items()}
 
 
+class _PoolBrokenAtSubmit:
+    """In-process stand-in for the worker pool: runs the first chunk it
+    is given, then raises ``BrokenProcessPool`` from ``submit``, as a
+    pool does once a worker dies while later chunks are still going out."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits > 1:
+            raise BrokenProcessPool("a worker died during submission")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestWorkerCrash:
     def test_worker_kill_mid_chunk_recovers(self, monkeypatch, tmp_path,
                                             reference):
@@ -68,6 +87,28 @@ class TestWorkerCrash:
             assert not engine.degraded
             counters = engine.metrics.counters()
             assert counters.get("repro_engine_worker_deaths_total", 0) >= 1
+
+    def test_pool_broken_at_submit_counts_as_worker_death(
+            self, monkeypatch, tmp_path, reference):
+        specs, expected = reference
+        cache = ResultCache(store=FsStore(tmp_path / "cache"), enabled=True)
+        with ExperimentEngine(jobs=2, cache=cache,
+                              retry=RetryPolicy(backoff_base_s=0.01)) as engine:
+            pools = []
+
+            def warm_pool():
+                if engine.degraded:
+                    return None
+                pools.append(_PoolBrokenAtSubmit())
+                return pools[-1]
+
+            monkeypatch.setattr(engine, "warm_pool", warm_pool)
+            results = engine.run_many(specs)
+            assert as_dicts(results) == expected
+            assert pools[0].submits == 2  # the second chunk broke it
+            assert engine.pool_rebuilds >= 1
+            assert engine.metrics.counter_value(
+                "repro_engine_worker_deaths_total") >= 1
 
     def test_transient_exception_retries_to_success(self, monkeypatch,
                                                     tmp_path, reference):

@@ -168,6 +168,7 @@ class TestAcrossProcesses:
             if child.poll() is None:
                 child.kill()
                 child.wait()
+            child.stdout.close()
         assert child.returncode == -signal.SIGKILL
 
         survivor = LeaseBoard(tmp_path / "leases", owner="survivor",

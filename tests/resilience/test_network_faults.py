@@ -111,6 +111,7 @@ class TestChaosOverFlappingStore:
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 server.kill()
+            server.stdout.close()
         assert report["identical"], "matrix drifted under network faults"
         assert report["ok"], report["quarantine_leaks"]
         assert report["store"] == url
@@ -197,6 +198,8 @@ class TestKilledLeaseholderTakeover:
             leases = list(lease_dir.glob("*.lease"))
             os.kill(worker1.pid, signal.SIGKILL)
             worker1.wait(timeout=30)
+            worker1.stdout.close()
+            worker1.stderr.close()
             assert leases, "worker 1 held no lease at kill time"
             completed_before = (
                 len(journal.read_text().splitlines())
@@ -221,6 +224,7 @@ class TestKilledLeaseholderTakeover:
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 server.kill()
+            server.stdout.close()
 
         # Taken over within the TTL...
         assert takeovers >= 1

@@ -77,6 +77,7 @@ class TestDataPlane:
             method="PUT")
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=30.0)
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_blob_metrics_counted(self, live):

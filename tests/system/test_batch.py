@@ -139,6 +139,14 @@ class TestEligibility:
                               check_values=True)
         simulate(packed("kmeans"), config, batch=True)
 
+    def test_event_ring_declines(self, monkeypatch):
+        # A ring records every transaction; batched hits have no record.
+        monkeypatch.setattr(batch_mod, "derived_for", _no_derive)
+        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
+        result = simulate(packed("kmeans"), config_for(ProtocolKind.MESI),
+                          obs=True, batch=True)
+        assert result.obs.events.seen == result.stats.accesses
+
     def test_short_trace_declines_before_deriving(self, monkeypatch):
         # 16 cores x 25 accesses: below MIN_EVENTS_PER_CORE, so default
         # mode takes the scalar loop without deriving a single column.

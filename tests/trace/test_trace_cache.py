@@ -98,14 +98,6 @@ class TestCache:
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is False
 
-    def test_repro_trace_cache_env_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is True
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        monkeypatch.delenv("REPRO_CACHE")
-        assert TraceCache(store=FsStore(trace_root=tmp_path)).enabled is False
-
 
 class TestLocation:
     def test_env_dir_wins(self, tmp_path, monkeypatch):

@@ -8,8 +8,10 @@ observation), without any simulation around them:
 * ``disabled`` — the zero-cost-off shape: one attribute load and an
   ``is None`` test per event, nothing recorded;
 * ``scratch``  — the deferred fast path: a preassigned
-  ``CounterScratch`` slot add plus a ``BoundHistogram`` value-indexed
-  add per event, folded into the registry once at the end;
+  ``CounterScratch`` slot add (a ``repro_actions_total{kind=...}``
+  series, as the protocol engines keep per directory action) plus a
+  ``BoundHistogram`` value-indexed add per event, folded into the
+  registry once at the end;
 * ``legacy``   — the eager path the fast path replaced:
   ``MetricsRegistry.inc`` (label formatting + dict upsert) plus
   ``HistogramData.observe`` per event.
@@ -54,7 +56,7 @@ def bench_disabled(n: int) -> tuple:
 def bench_scratch(n: int) -> tuple:
     registry = MetricsRegistry()
     scratch = registry.counter_scratch()
-    slot = scratch.slot("repro_txn_total", op="read", outcome="hit")
+    slot = scratch.slot("repro_actions_total", kind="invalidate")
     slots = scratch.slots
     counts = registry.bound_histogram("repro_message_hops",
                                       max_value=max(VALUES)).counts
@@ -74,7 +76,7 @@ def bench_legacy(n: int) -> tuple:
     values = VALUES
     start = time.perf_counter()
     for i in range(n):
-        inc("repro_txn_total", op="read", outcome="hit")
+        inc("repro_actions_total", kind="invalidate")
         observe(values[i & 1023])
     return time.perf_counter() - start, registry
 
