@@ -65,11 +65,6 @@ from repro.api import (
     sweep,
 )
 
-# Legacy top-level names kept for compatibility; prefer repro.api.
-from repro.common.wordrange import WordRange
-from repro.system.machine import build_protocol
-from repro.system._simulator import Simulator
-
 from repro._version import package_version
 
 __version__ = package_version()
@@ -101,16 +96,13 @@ __all__ = [
     "RunSpec",
     "ServiceClient",
     "SimulationError",
-    "Simulator",
     "StoreError",
     "SweepJournal",
     "SweepService",
     "SystemConfig",
     "TraceProfile",
     "WORKLOADS",
-    "WordRange",
     "build_machine",
-    "build_protocol",
     "build_streams",
     "configure_store",
     "get_store",

@@ -54,8 +54,8 @@ class CoherenceProtocol:
     kind: ProtocolKind = ProtocolKind.MESI
 
     # Every directory-side action any engine reports, in sorted order.
-    # attach_obs preassigns one scratch counter slot per kind so the
-    # per-action cost is a list index add (see _obs_action).
+    # attach_obs presets one count per kind so the per-action cost is a
+    # dict add (see _obs_action).
     ACTION_KINDS = ("downgrade", "invalidate", "owner_getx",
                     "probe_read", "probe_write", "revoke_writer")
 
@@ -96,14 +96,12 @@ class CoherenceProtocol:
         # Observability (repro.obs): None when disabled, which keeps every
         # hook in the transaction loop at one attribute load + None test.
         # ``_obs_events`` aliases the session's event ring (None without
-        # one, as under REPRO_OBS=1) and ``_obs_scratch`` the flat
-        # scratch-counter slot list so the hot path never chases two
-        # attributes; slot indices (action by kind) are assigned once in
-        # attach_obs.
+        # one, as under REPRO_OBS=1) and ``_obs_actions`` the per-kind
+        # action counts (None without metrics) so the hot path never
+        # chases two attributes.
         self._obs = None
         self._obs_events = None
-        self._obs_scratch = None
-        self._sc_action: Dict[str, int] = {}
+        self._obs_actions: Optional[Dict[str, int]] = None
         # Batch execution (repro.system.batch): called as
         # (core, region, victim_or_None) before this engine reads the
         # dirty/touched masks of blocks the batch runner may still hold
@@ -122,54 +120,51 @@ class CoherenceProtocol:
           purely user-facing hook); hit and miss totals need no
           recording either, since :func:`~repro.obs.record_run_metrics`
           derives them from ``RunStats``;
-        * the metrics registry hands out *scratch* counter slots —
-          directory-action counts become plain list-index adds, folded
-          into labeled series on any registry read — and *bound*
-          histograms for the network accountant, whose value-indexed
-          count lists are installed directly on the accountant and
-          incremented inline per transfer (no closure call),
-          preallocated to the topology's maximum hop count and the
-          widest message's flit count.
+        * with metrics on, directory actions are counted in a per-kind
+          dict here and messages in the network accountant's two
+          value-indexed lists, sized to the mesh diameter and the widest
+          message's flit count.  One container add per event;
+          :meth:`record_obs_metrics` projects them when the run ends.
 
-        Detach by passing ``None`` (scratch slots and the accountant's
-        histogram lists are released; ``trace_hook`` is untouched).
+        Detach by passing ``None`` (the counts are released;
+        ``trace_hook`` is untouched).
         """
         self._obs = obs
         self._obs_events = obs.events if obs is not None else None
         net = self.net
-        if obs is None:
-            self._obs_scratch = None
-            self._sc_action = {}
+        if obs is None or obs.metrics is None:
+            self._obs_actions = None
             net.obs_hop_counts = net.obs_flit_counts = None
-            net.obs_hop_hist = net.obs_flit_hist = None
             return
-        if obs.metrics is not None:
-            scratch = obs.metrics.counter_scratch()
-            self._sc_action = {
-                kind: scratch.slot("repro_actions_total", kind=kind)
-                for kind in self.ACTION_KINDS
-            }
-            self._obs_scratch = scratch.slots
-            hops = obs.metrics.bound_histogram(
-                "repro_message_hops", max_value=self.topology.max_hops)
-            flits = obs.metrics.bound_histogram(
-                "repro_message_flits",
-                max_value=net.max_flits(
-                    MsgType.WBACK.size_bytes(self.config.words_per_region)))
-            net.obs_hop_counts = hops.counts
-            net.obs_flit_counts = flits.counts
-            net.obs_hop_hist = hops
-            net.obs_flit_hist = flits
+        self._obs_actions = dict.fromkeys(self.ACTION_KINDS, 0)
+        net.obs_hop_counts = [0] * (self.topology.max_hops + 1)
+        widest = MsgType.WBACK.size_bytes(self._words_per_region)
+        net.obs_flit_counts = [0] * (net.flits(widest) + 1)
+
+    def record_obs_metrics(self, registry) -> None:
+        """Project the counts :meth:`attach_obs` set up into ``registry``.
+
+        Called once when a run ends.  The counts start again from zero,
+        so a further run on this engine projects only its own events.
+        """
+        for kind, count in self._obs_actions.items():
+            if count:
+                registry.inc("repro_actions_total", count, kind=kind)
+        net = self.net
+        registry.histogram("repro_message_hops").add_counts(net.obs_hop_counts)
+        registry.histogram("repro_message_flits").add_counts(
+            net.obs_flit_counts)
+        self.attach_obs(self._obs)  # fresh, zeroed counts
 
     def _obs_action(self, kind: str, target: int) -> None:
-        """Report one directory-side action (scratch counter + event ring).
+        """Report one directory-side action (count + event ring).
 
         Engines call this only after an ``is not None`` test on
         ``self._obs``, so the disabled path never pays the call.
         """
-        sc = self._obs_scratch
-        if sc is not None:
-            sc[self._sc_action[kind]] += 1
+        actions = self._obs_actions
+        if actions is not None:
+            actions[kind] += 1
         events = self._obs_events
         if events is not None:
             events.action(kind, target)

@@ -104,10 +104,6 @@ class WordRange:
         """The range covering a whole region."""
         return WordRange(0, words_per_region - 1)
 
-    def clamp(self, words_per_region: int) -> "WordRange":
-        """Clip the range to fit within a region of the given size."""
-        return WordRange(max(0, self.start), min(words_per_region - 1, self.end))
-
     # -- dunder ------------------------------------------------------------
 
     def as_tuple(self) -> Tuple[int, int]:

@@ -73,7 +73,6 @@ from repro.store.fs import default_trace_root
 from repro.system.machine import simulate
 from repro.system.results import RunResult
 from repro.trace._cache import cache_enabled, packed_streams
-from repro.trace.workloads import build_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
 #: changes: every previously cached entry becomes unreachable.
@@ -130,21 +129,15 @@ class RunSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def execute_spec(spec: RunSpec, packed: bool = True) -> RunResult:
+def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec in-process (no result-cache involvement).
 
-    With ``packed`` (the default) the trace comes from the packed trace
-    cache — built at most once per recipe, replayed with no per-event
-    objects.  ``packed=False`` regenerates ``MemAccess`` streams; the
-    equivalence tests pin both paths to bit-identical results.
+    The trace comes from the packed trace cache — built at most once per
+    recipe, replayed with no per-event objects.
     """
-    if packed:
-        trace = packed_streams(spec.workload, cores=spec.cores,
-                               per_core=spec.per_core, seed=spec.seed)
-        return simulate(trace, spec.config(), name=spec.workload)
-    streams = build_streams(spec.workload, cores=spec.cores,
-                            per_core=spec.per_core, seed=spec.seed)
-    return simulate(streams, spec.config(), name=spec.workload)
+    trace = packed_streams(spec.workload, cores=spec.cores,
+                           per_core=spec.per_core, seed=spec.seed)
+    return simulate(trace, spec.config(), name=spec.workload)
 
 
 def _serialize_result(result: RunResult) -> str:

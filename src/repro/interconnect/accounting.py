@@ -28,18 +28,12 @@ class NetworkAccountant:
         self.total_flits = 0
         self.total_flit_hops = 0
         self.total_messages = 0
-        # Optional per-message observer called as (hops, flits); a
-        # generic hook for external callers, None (free) otherwise.
-        self.observer = None
-        # Fast-path observability (installed by attach_obs when metrics
-        # are on): the value-indexed count lists of the hop/flit bound
-        # histograms, incremented inline per transfer — no closure call.
-        # The histogram handles back grow-on-overflow; growth extends
-        # the lists in place, so the references here stay valid.
+        # Observed messages (installed by the protocol's attach_obs when
+        # metrics are on, None otherwise): counts indexed by hop count and
+        # by flit count, sized to the mesh diameter and the widest message,
+        # and projected into the registry once per run.
         self.obs_hop_counts = None
         self.obs_flit_counts = None
-        self.obs_hop_hist = None
-        self.obs_flit_hist = None
 
     def flits(self, size_bytes: int) -> int:
         """Number of flits needed for a message of ``size_bytes``."""
@@ -47,10 +41,6 @@ class NetworkAccountant:
             return 0
         fb = self._flit_bytes
         return (size_bytes + fb - 1) // fb
-
-    def max_flits(self, max_size_bytes: int) -> int:
-        """Flit count of the largest possible message (histogram bound)."""
-        return self.flits(max_size_bytes)
 
     def transfer(self, src_node: int, dst_node: int, size_bytes: int) -> int:
         """Record one message on the network; returns its network latency.
@@ -67,24 +57,10 @@ class NetworkAccountant:
         self.total_messages += 1
         self.total_flits += flits
         self.total_flit_hops += flits * hops
-        h = self.obs_hop_counts
-        if h is not None:
-            # Each increment recovers independently (grow keeps list
-            # identity), so a raise on the second can never double-count
-            # the first.
-            try:
-                h[hops] += 1
-            except IndexError:
-                self.obs_hop_hist.grow(hops)
-                h[hops] += 1
-            f = self.obs_flit_counts
-            try:
-                f[flits] += 1
-            except IndexError:
-                self.obs_flit_hist.grow(flits)
-                f[flits] += 1
-        if self.observer is not None:
-            self.observer(hops, flits)
+        hop_counts = self.obs_hop_counts
+        if hop_counts is not None:
+            hop_counts[hops] += 1
+            self.obs_flit_counts[flits] += 1
         return head + flits - 1 if flits else head
 
     def snapshot(self) -> dict:

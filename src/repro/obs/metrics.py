@@ -21,21 +21,14 @@ can aggregate across runs and across worker processes:
   merges the dumps back into its session registry (merge is associative
   and commutative, so fan-out order never matters).
 
-**The fast path.**  Per-event recording never goes through ``inc()`` /
-``observe()`` (a dict lookup plus key formatting per call).  Hot callers
-bind *scratch* handles once — :meth:`MetricsRegistry.counter_scratch`
-hands out plain-int slots in a flat list, :meth:`bound_histogram` a
-value-indexed count list — and the per-event cost is a single list index
-add.  Scratch deltas are *deferred*: they fold into the real counters and
-histograms at phase end and, transparently, on **any registry read**
-(``counters()``, ``counter_value()``, ``histograms()``, ``to_dict()``,
-``len()``), so a mid-run reader always sees up-to-date totals and the
-wire form is byte-identical to eager recording.
+The registry is passive.  Per-event counts never go through ``inc()`` /
+``observe()`` (a dict lookup plus key formatting per call): the
+components that produce them keep plain containers, which
+``CoherenceProtocol.record_obs_metrics`` projects once per run.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 
@@ -180,6 +173,22 @@ class HistogramData:
         self.count += count
         self.total += total
 
+    def add_counts(self, counts: List[int]) -> None:
+        """Bulk-load value-indexed counts: ``counts[v]`` samples of ``v``.
+
+        Exactly equivalent to one :meth:`observe` per sample; the bucket
+        index and min/max work is paid once per distinct value.
+        """
+        for value, n in enumerate(counts):
+            if not n:
+                continue
+            self.add_bucket(max(value.bit_length() - 1, 0), n,
+                            total=value * n)
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -207,111 +216,12 @@ class HistogramData:
             setattr(self, attr, other if mine is None else pick(mine, other))
 
 
-class CounterScratch:
-    """A flat list of plain-int counter slots, folded into a registry.
-
-    Hot-path callers (the protocol engines) allocate slots once at
-    attach time via :meth:`slot` and thereafter increment
-    ``scratch.slots[index]`` directly — a list index add, no key
-    formatting, no dict lookup, no method call.  :meth:`fold` moves the
-    accumulated deltas into the owning registry's counters and zeroes
-    the slots; the registry calls it automatically on any read.
-    """
-
-    __slots__ = ("slots", "_keys", "_registry")
-
-    def __init__(self, registry: "MetricsRegistry"):
-        self.slots: List[int] = []
-        self._keys: List[str] = []
-        self._registry = registry
-
-    def slot(self, name: str, **labels) -> int:
-        """Assign one scratch slot for (name, labels); returns its index."""
-        self._keys.append(series_key(name, labels))
-        self.slots.append(0)
-        return len(self.slots) - 1
-
-    def fold(self) -> bool:
-        """Move pending deltas into the registry; True if anything moved."""
-        counters = self._registry._counters
-        slots = self.slots
-        dirty = False
-        for index, key in enumerate(self._keys):
-            value = slots[index]
-            if value:
-                counters[key] = counters.get(key, 0) + value
-                slots[index] = 0
-                dirty = True
-        return dirty
-
-
-class BoundHistogram:
-    """Value-indexed scratch counts in front of a :class:`HistogramData`.
-
-    ``counts[value] += 1`` is the whole per-event cost; the bucket index
-    (``bit_length``), count/total accumulation, and min/max tracking all
-    happen once per distinct value at fold time, so folding is exactly
-    equivalent to having called :meth:`HistogramData.observe` per event.
-    Values beyond the preallocated bound grow the list in place (list
-    identity is preserved, so hot closures may bind ``counts`` directly
-    and recover from ``IndexError`` with :meth:`grow`).
-    """
-
-    __slots__ = ("counts", "_hist")
-
-    def __init__(self, hist: HistogramData, max_value: int):
-        self._hist = hist
-        self.counts: List[int] = [0] * (max(int(max_value), 0) + 1)
-
-    def observe(self, value: int) -> None:
-        try:
-            self.counts[value] += 1
-        except IndexError:
-            self.grow(value)
-            self.counts[value] += 1
-
-    def grow(self, value: int) -> None:
-        """Extend the count list (in place) to make ``value`` indexable."""
-        self.counts.extend([0] * (value + 1 - len(self.counts)))
-
-    def fold(self) -> bool:
-        """Fold pending counts into the histogram; True if anything moved."""
-        hist = self._hist
-        counts = self.counts
-        dirty = False
-        for value, n in enumerate(counts):
-            if not n:
-                continue
-            hist.add_bucket(max(value.bit_length() - 1, 0), n,
-                            total=value * n)
-            if hist.min is None or value < hist.min:
-                hist.min = value
-            if hist.max is None or value > hist.max:
-                hist.max = value
-            counts[value] = 0
-            dirty = True
-        return dirty
-
-
 class MetricsRegistry:
-    """Labeled counters and histograms with an associative merge.
-
-    Reads *fold first*: any scratch handle handed out by
-    :meth:`counter_scratch` / :meth:`bound_histogram` has its pending
-    deltas committed before ``counters()``, ``counter_value()``,
-    ``histograms()``, ``to_dict()``, or ``len()`` return, so deferred
-    recording is invisible to consumers.  ``fold_cycles`` counts folds
-    that actually moved data and ``fold_seconds`` their cumulative cost
-    (both surfaced by the service ``/metrics`` endpoint as the price of
-    observing the observer).
-    """
+    """Labeled counters and histograms with an associative merge."""
 
     def __init__(self):
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, HistogramData] = {}
-        self._pending: List = []
-        self.fold_cycles = 0
-        self.fold_seconds = 0.0
 
     # -- recording -----------------------------------------------------------
 
@@ -329,60 +239,23 @@ class MetricsRegistry:
     def observe(self, name: str, value: int, **labels) -> None:
         self.histogram(name, **labels).observe(value)
 
-    # -- deferred recording (the hot path) -----------------------------------
-
-    def counter_scratch(self) -> CounterScratch:
-        """A new flat-slot scratch whose deltas fold into this registry."""
-        scratch = CounterScratch(self)
-        self._pending.append(scratch)
-        return scratch
-
-    def bound_histogram(self, name: str, max_value: int = 64,
-                        **labels) -> BoundHistogram:
-        """A value-indexed scratch bound to ``histogram(name, **labels)``."""
-        bound = BoundHistogram(self.histogram(name, **labels), max_value)
-        self._pending.append(bound)
-        return bound
-
-    def fold_pending(self) -> None:
-        """Commit every scratch delta now (phase/chunk boundaries)."""
-        self._fold()
-
-    def _fold(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        start = time.perf_counter()
-        dirty = False
-        for scratch in pending:
-            if scratch.fold():
-                dirty = True
-        if dirty:
-            self.fold_cycles += 1
-        self.fold_seconds += time.perf_counter() - start
-
-    # -- reading (all fold first) --------------------------------------------
+    # -- reading -------------------------------------------------------------
 
     def counter_value(self, name: str, **labels) -> int:
-        self._fold()
         return self._counters.get(series_key(name, labels), 0)
 
     def counters(self) -> Dict[str, int]:
-        self._fold()
         return dict(self._counters)
 
     def histograms(self) -> Dict[str, HistogramData]:
-        self._fold()
         return dict(self._histograms)
 
     def __len__(self) -> int:
-        self._fold()
         return len(self._counters) + len(self._histograms)
 
     # -- wire form -----------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        self._fold()
         return {
             "counters": dict(sorted(self._counters.items())),
             "histograms": {k: h.to_dict()

@@ -303,26 +303,7 @@ class SweepService:
         merged.merge(self.metrics)
         merged.merge(self.engine.metrics)
         merged.merge(process_registry())
-        dump = merged.to_dict()
-        # The observability tax, self-reported: deferred scratch deltas
-        # cost fold cycles, and their cumulative wall-clock over service
-        # uptime is the fraction of this process's life spent committing
-        # them.  fold_* are registry-level bookkeeping (not series), so
-        # they are surfaced here rather than carried in run dumps —
-        # per-run metric payloads stay byte-comparable across modes.
-        fold_cycles = sum(r.fold_cycles for r in
-                          (self.metrics, self.engine.metrics,
-                           process_registry()))
-        fold_seconds = sum(r.fold_seconds for r in
-                           (self.metrics, self.engine.metrics,
-                            process_registry()))
-        uptime = max(time.time() - self.started_at, 1e-9)
-        dump["counters"]["repro_obs_fold_cycles_total"] = fold_cycles
-        dump["counters"]["repro_obs_fold_seconds_total"] = round(
-            fold_seconds, 6)
-        dump["counters"]["repro_obs_overhead_ratio"] = round(
-            fold_seconds / uptime, 9)
-        return dump
+        return merged.to_dict()
 
     # -- blob-store surface (the data plane behind /blob/<key>) --------------
     #

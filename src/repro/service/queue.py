@@ -310,10 +310,6 @@ class JobQueue:
             self._expire(job, now)
         return expired
 
-    def expire_due(self, now: Optional[float] = None) -> List[Job]:
-        with self._lock:
-            return self._expire_due(time.time() if now is None else now)
-
     # -- waiting -------------------------------------------------------------
 
     def wait(self, job: Job, timeout_s: float = 0.0) -> Job:

@@ -90,9 +90,7 @@ class Simulator:
                 with timers.phase("flush"):
                     self.protocol.flush()
         if obs is not None and obs.metrics is not None:
-            # Phase boundary: commit the engines' deferred scratch deltas
-            # (idempotent — any registry read folds too).
-            obs.metrics.fold_pending()
+            self.protocol.record_obs_metrics(obs.metrics)
         return self.stats
 
     def _issue(self, max_accesses: Optional[int]) -> None:

@@ -94,94 +94,46 @@ class TestHistogram:
         assert a.to_dict() == b.to_dict()
 
 
-class TestCounterScratch:
-    def test_slot_adds_fold_into_counters(self):
-        reg = MetricsRegistry()
-        scratch = reg.counter_scratch()
-        read = scratch.slot("hits", op="read")
-        write = scratch.slot("hits", op="write")
-        scratch.slots[read] += 3
-        scratch.slots[write] += 2
-        scratch.slots[read] += 1
-        assert reg.counter_value("hits", op="read") == 4
-        assert reg.counter_value("hits", op="write") == 2
+class TestAddCounts:
+    """``add_counts`` (value-indexed, projected once) == eager ``observe``."""
 
-    def test_fold_is_triggered_by_any_read(self):
-        reg = MetricsRegistry()
-        scratch = reg.counter_scratch()
-        idx = scratch.slot("c")
-        scratch.slots[idx] += 7
-        # No explicit fold_pending(): to_dict folds transparently.
-        assert reg.to_dict()["counters"] == {"c": 7}
-        assert scratch.slots[idx] == 0
+    VALUES = [0, 1, 1, 2, 3, 7, 8, 9, 31, 32, 63]
 
-    def test_fold_is_idempotent(self):
-        reg = MetricsRegistry()
-        scratch = reg.counter_scratch()
-        idx = scratch.slot("c")
-        scratch.slots[idx] += 5
-        reg.fold_pending()
-        reg.fold_pending()
-        assert reg.counter_value("c") == 5
-
-    def test_scratch_composes_with_eager_inc(self):
-        reg = MetricsRegistry()
-        scratch = reg.counter_scratch()
-        idx = scratch.slot("c", op="read")
-        reg.inc("c", 10, op="read")
-        scratch.slots[idx] += 1
-        assert reg.counter_value("c", op="read") == 11
-
-    def test_fold_cycles_count_only_dirty_folds(self):
-        reg = MetricsRegistry()
-        scratch = reg.counter_scratch()
-        idx = scratch.slot("c")
-        reg.fold_pending()               # nothing pending: not a cycle
-        assert reg.fold_cycles == 0
-        scratch.slots[idx] += 1
-        reg.fold_pending()
-        reg.fold_pending()               # already clean again
-        assert reg.fold_cycles == 1
-
-
-class TestBoundHistogram:
-    def test_fold_matches_eager_observe(self):
-        values = [0, 1, 1, 2, 3, 7, 8, 9, 31, 32, 63]
+    def test_matches_one_observe_per_sample(self):
         eager = MetricsRegistry()
-        for v in values:
+        for v in self.VALUES:
             eager.observe("h", v, protocol="mesi")
-        deferred = MetricsRegistry()
-        bound = deferred.bound_histogram("h", max_value=63, protocol="mesi")
-        for v in values:
-            bound.counts[v] += 1
-        assert (json.dumps(deferred.to_dict(), sort_keys=True)
+        counts = [0] * 64
+        for v in self.VALUES:
+            counts[v] += 1
+        projected = MetricsRegistry()
+        projected.histogram("h", protocol="mesi").add_counts(counts)
+        assert (json.dumps(projected.to_dict(), sort_keys=True)
                 == json.dumps(eager.to_dict(), sort_keys=True))
 
-    def test_observe_grows_past_the_bound_in_place(self):
-        reg = MetricsRegistry()
-        bound = reg.bound_histogram("h", max_value=4)
-        counts = bound.counts          # hot closures bind the list directly
-        bound.observe(100)
-        assert counts is bound.counts  # grown in place, identity preserved
-        assert len(counts) >= 101
-        hist = reg.histograms()["h"]
-        assert (hist.count, hist.total, hist.min, hist.max) == (1, 100, 100, 100)
+    def test_adds_to_an_observed_histogram(self):
+        eager = HistogramData()
+        for v in self.VALUES + [100, 5]:
+            eager.observe(v)
+        hist = HistogramData()
+        hist.observe(100)
+        hist.observe(5)
+        counts = [0] * 64
+        for v in self.VALUES:
+            counts[v] += 1
+        hist.add_counts(counts)
+        assert hist.to_dict() == eager.to_dict()
 
     def test_zero_value_lands_in_bucket_zero(self):
-        reg = MetricsRegistry()
-        bound = reg.bound_histogram("h", max_value=8)
-        bound.counts[0] += 2
-        hist = reg.histograms()["h"]
+        hist = HistogramData()
+        hist.add_counts([2, 0, 0])
         assert hist.buckets == {0: 2}
-        assert (hist.min, hist.max) == (0, 0)
+        assert (hist.count, hist.total, hist.min, hist.max) == (2, 0, 0, 0)
 
-    def test_fold_on_read_then_more_events(self):
-        reg = MetricsRegistry()
-        bound = reg.bound_histogram("h", max_value=8)
-        bound.counts[4] += 1
-        assert reg.histograms()["h"].count == 1
-        bound.counts[4] += 1
-        assert reg.histograms()["h"].count == 2
+    def test_all_zero_counts_leave_the_histogram_empty(self):
+        hist = HistogramData()
+        hist.add_counts([0] * 8)
+        assert hist.to_dict() == HistogramData().to_dict()
 
 
 class TestRegistryMerge:

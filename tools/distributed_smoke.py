@@ -16,6 +16,8 @@ End to end, through the real CLI entry points:
    (``repro_service_blob_hits_total`` > 0).
 
 Exit status 0 on success; any failure prints a diagnosis and exits 1.
+The scratch tree it works in is removed on PASS; on FAIL it is kept,
+and its path printed, for inspection.
 
 Usage: python tools/distributed_smoke.py
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -67,6 +70,17 @@ def counter_total(counters: dict, name: str) -> int:
 
 def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
+    try:
+        status = smoke(scratch)
+    except BaseException:
+        print(f"distributed-smoke: scratch tree kept at {scratch}",
+              file=sys.stderr)
+        raise
+    shutil.rmtree(scratch, ignore_errors=True)
+    return status
+
+
+def smoke(scratch: Path) -> int:
     base_env = dict(os.environ,
                     PYTHONPATH=str(REPO / "src"),
                     REPRO_WORKLOADS=WORKLOADS,

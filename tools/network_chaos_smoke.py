@@ -24,6 +24,8 @@ A fault-site firing report (token counts, phase outcomes) is written to
 ``network-chaos-report.json`` for the CI artifact upload.
 
 Exit status 0 on success; any failure prints a diagnosis and exits 1.
+The scratch tree it works in is removed on PASS; on FAIL it is kept,
+and its path printed, for inspection.
 
 Usage: python tools/network_chaos_smoke.py
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -104,6 +107,17 @@ def summary_of(stderr: str):
 
 def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-network-chaos-"))
+    try:
+        status = smoke(scratch)
+    except BaseException:
+        print(f"network-chaos-smoke: scratch tree kept at {scratch}",
+              file=sys.stderr)
+        raise
+    shutil.rmtree(scratch, ignore_errors=True)
+    return status
+
+
+def smoke(scratch: Path) -> int:
     base_env = dict(os.environ,
                     PYTHONPATH=str(REPO / "src"),
                     REPRO_WORKLOADS=WORKLOADS,

@@ -1,25 +1,25 @@
 #!/usr/bin/env python
 """Micro-benchmark of per-event observability recording cost.
 
-Isolates the three recording strategies the simulator can be in, doing
-the same logical work per event (one counter bump + one histogram
-observation), without any simulation around them:
+Isolates the recording shapes the simulator could be in, doing the same
+logical work per event (one counter bump + one histogram observation),
+without any simulation around them:
 
 * ``disabled`` — the zero-cost-off shape: one attribute load and an
   ``is None`` test per event, nothing recorded;
-* ``scratch``  — the deferred fast path: a preassigned
-  ``CounterScratch`` slot add (a ``repro_actions_total{kind=...}``
-  series, as the protocol engines keep per directory action) plus a
-  ``BoundHistogram`` value-indexed add per event, folded into the
-  registry once at the end;
-* ``legacy``   — the eager path the fast path replaced:
+* ``counts``   — what the simulator does: a per-kind dict add (as the
+  protocol engines count ``repro_actions_total{kind=...}``) plus a
+  value-indexed list add (as the network accountant counts messages by
+  hop count) per event, projected into the registry once at the end
+  with ``inc`` and ``HistogramData.add_counts``;
+* ``eager``    — recording straight into the registry:
   ``MetricsRegistry.inc`` (label formatting + dict upsert) plus
   ``HistogramData.observe`` per event.
 
-The scratch and legacy registries must dump byte-identically — the
-deferred path is an optimization, not a different metric — and the run
-exits nonzero if they do not, which is what makes this suitable as a CI
-smoke step.  Prints a JSON report (ns/event per mode + ratios).
+The counts and eager registries must dump byte-identically — projecting
+once is an optimization, not a different metric — and the run exits
+nonzero if they do not, which is what makes this suitable as a CI smoke
+step.  Prints a JSON report (ns/event per mode + ratios).
 
 Usage: ``python tools/obs_microbench.py [--n 2000000]``
 """
@@ -53,23 +53,22 @@ def bench_disabled(n: int) -> tuple:
     return time.perf_counter() - start, MetricsRegistry()
 
 
-def bench_scratch(n: int) -> tuple:
+def bench_counts(n: int) -> tuple:
     registry = MetricsRegistry()
-    scratch = registry.counter_scratch()
-    slot = scratch.slot("repro_actions_total", kind="invalidate")
-    slots = scratch.slots
-    counts = registry.bound_histogram("repro_message_hops",
-                                      max_value=max(VALUES)).counts
+    actions = {"invalidate": 0}
+    counts = [0] * (max(VALUES) + 1)
     values = VALUES
     start = time.perf_counter()
     for i in range(n):
-        slots[slot] += 1
+        actions["invalidate"] += 1
         counts[values[i & 1023]] += 1
-    registry.fold_pending()
+    for kind, count in actions.items():
+        registry.inc("repro_actions_total", count, kind=kind)
+    registry.histogram("repro_message_hops").add_counts(counts)
     return time.perf_counter() - start, registry
 
 
-def bench_legacy(n: int) -> tuple:
+def bench_eager(n: int) -> tuple:
     registry = MetricsRegistry()
     inc = registry.inc
     observe = registry.histogram("repro_message_hops").observe
@@ -83,8 +82,8 @@ def bench_legacy(n: int) -> tuple:
 
 MODES = {
     "disabled": bench_disabled,
-    "scratch": bench_scratch,
-    "legacy": bench_legacy,
+    "counts": bench_counts,
+    "eager": bench_eager,
 }
 
 
@@ -111,18 +110,18 @@ def main(argv=None) -> int:
         }
 
     modes = report["modes"]
-    report["scratch_vs_legacy_speedup"] = round(
-        modes["legacy"]["ns_per_event"] / modes["scratch"]["ns_per_event"], 2)
-    report["scratch_tax_ns"] = round(
-        modes["scratch"]["ns_per_event"] - modes["disabled"]["ns_per_event"],
+    report["counts_vs_eager_speedup"] = round(
+        modes["eager"]["ns_per_event"] / modes["counts"]["ns_per_event"], 2)
+    report["counts_tax_ns"] = round(
+        modes["counts"]["ns_per_event"] - modes["disabled"]["ns_per_event"],
         1)
-    equivalent = (json.dumps(dumps["scratch"], sort_keys=True)
-                  == json.dumps(dumps["legacy"], sort_keys=True))
-    report["scratch_equals_legacy"] = equivalent
+    equivalent = (json.dumps(dumps["counts"], sort_keys=True)
+                  == json.dumps(dumps["eager"], sort_keys=True))
+    report["counts_equals_eager"] = equivalent
     print(json.dumps(report, indent=2))
     if not equivalent:
-        print("FAIL: scratch-folded registry dump differs from the eager "
-              "path", file=sys.stderr)
+        print("FAIL: projected registry dump differs from the eager path",
+              file=sys.stderr)
         return 1
     return 0
 

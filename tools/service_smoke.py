@@ -16,6 +16,8 @@ End to end, through the real CLI entry points:
    wait ends when the job does, not on the next poll.
 
 Exit status 0 on success; any failure prints a diagnosis and exits 1.
+The scratch tree it works in is removed on PASS; on FAIL it is kept,
+and its path printed, for inspection.
 
 Usage: python tools/service_smoke.py
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -60,6 +63,17 @@ def health(url: str) -> dict:
 
 def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-service-smoke-"))
+    try:
+        status = smoke(scratch)
+    except BaseException:
+        print(f"service-smoke: scratch tree kept at {scratch}",
+              file=sys.stderr)
+        raise
+    shutil.rmtree(scratch, ignore_errors=True)
+    return status
+
+
+def smoke(scratch: Path) -> int:
     env = dict(os.environ,
                PYTHONPATH=str(REPO / "src"),
                REPRO_CACHE_DIR=str(scratch / "service-cache"),
