@@ -6,33 +6,19 @@ coherence transaction, push the core back.  Most accesses in the bench
 workloads are *hits* — the ``covered_r``/``covered_w`` test at the top
 of :meth:`CoherenceProtocol._access` passes and the transaction touches
 nothing but per-block masks and a handful of counters.  This module
-retires whole stretches of such hits at once while provably reproducing
-the scalar interleaving bit-for-bit.
+retires each such hit with one coverage test and one deferred mask
+while provably reproducing the scalar interleaving bit-for-bit.
 
-Two mechanisms, layered:
+After its popped event, a core keeps executing events inline as long as
+``(clock, core)`` stays below the heap's head: exactly the events the
+scalar loop would have handed it anyway, in the same order, so the loop
+is legal everywhere, ``max_accesses`` and L2 recalls included.  A hit
+commits by one test of its masks against the cached ownership summary
+of its (core, region), which :meth:`CoherenceProtocol.coverage_masks`
+computes exactly as :meth:`CoherenceProtocol._access` does.
 
-* **In-order continuation.**  After its popped event, a core keeps
-  executing events inline as long as ``(clock, core)`` stays below the
-  heap's head — exactly the events the scalar loop would have handed it
-  anyway.  Always legal, works under ``max_accesses``.
-
-* **Run-ahead over commuting stretches.**  Events on regions that are
-  *trace-private* (one core ever touches them) or *trace-read-only*
-  (no write anywhere in the trace) commute with every other core's
-  transactions **as long as they hit**: a hit changes only the issuing
-  core's touched/dirty masks and an E->M bit, none of which any foreign
-  probe of such regions reads (read-only regions never take write
-  probes; private regions take none at all).  The derived columns
-  (:mod:`repro.trace.derived`) index every *non*-commuting event in
-  ``hard_pos``; stretches between hard events run ahead of the global
-  clock order, committed per event by one coverage test against the
-  cached ownership summary, with the clock/instruction/counter effects
-  folded in bulk from prefix-sum columns.  Run-ahead is disabled when
-  ``max_accesses`` is set (the executed prefix must match scalar) or
-  when the trace's region count can overflow the L2 and trigger recalls.
-
-Hits executed either way are *deferred*: per-region pending masks
-accumulate the touched/dirty words and are flushed onto the real
+Committed hits are *deferred*: per-region pending masks accumulate
+the touched/dirty words and are flushed onto the real
 :class:`~repro.memory.block.Block` objects only when a scalar
 transaction, an eviction (via ``protocol.batch_hook``), or the end of
 the run is about to observe them.  The first miss — or any event whose
@@ -41,8 +27,8 @@ scalar ``protocol.read``/``write`` path.  A core's cached coverage
 summary is invalidated whenever any transaction or eviction touches
 that (core, region), so batching is speculative but never wrong.
 
-The issue loop itself works on plain Python lists (one ``tolist`` per
-derived column at runner start): per committed hit it costs a few list
+The issue loop itself works on plain Python lists (one ``list`` copy
+per derived column at runner start): per committed hit it costs a few list
 indexes and one dict upsert, against a full coherence transaction plus
 heap traffic on the scalar path.  numpy, when importable, accelerates
 *deriving* the columns (:func:`repro.trace.derived.derive`); execution
@@ -137,47 +123,40 @@ class _BatchRunner:
         packed = sim._packed
         self.cores = packed.cores
         self.counts = packed.counts
-        capacity = self.protocol.l2.capacity_regions
-        self.runahead = (max_accesses is None
-                         and (capacity is None
-                              or derived.total_regions <= capacity))
-        # Everything the inner loop indexes becomes a plain Python list
-        # once, here: list indexing hands back cached small ints with no
-        # wrapper objects, which is what makes a committed hit cost a few
-        # hundred nanoseconds instead of a coherence transaction.
-        self.reg: List[list] = []
-        self.am: List[list] = []
-        self.wm: List[list] = []
-        self.think: List[list] = []
-        self.think_cum: List[list] = []
-        self.writes_cum: List[list] = []
-        self.wpop_cum: List[list] = []
-        self.hard_pos: List[list] = []
-        self.hard_ptr = [0] * self.cores
         self.region_ids: List[list] = []
         self.idx_of: List[dict] = []
         self.cov_r: List[list] = []
         self.cov_w: List[list] = []
         self.cov_valid: List[list] = []
         self.pend: List[dict] = []  # dense idx -> [touched, written]
+        # Everything a pop binds about its core, behind one list index: a
+        # pop frequently retires a single event, so per-core state must
+        # cost one unpack, not a dozen lookups.  The columns the hit path
+        # indexes become plain Python lists once, here: list indexing
+        # hands back cached small ints with no wrapper objects, which is
+        # what makes a committed hit cost a few hundred nanoseconds
+        # instead of a coherence transaction.
+        self.core_state: List[tuple] = []
         for c in range(self.cores):
             d = derived.per_core[c]
             ids = list(d.region_ids)
             regions = len(ids)
-            self.reg.append(list(d.region_idx))
-            self.am.append(list(d.amask))
-            self.wm.append(list(d.wmask))
-            self.think.append(list(packed.core_columns(c)[4]))
-            self.think_cum.append(list(d.think_cum))
-            self.writes_cum.append(list(d.writes_cum))
-            self.wpop_cum.append(list(d.wpop_cum))
-            self.hard_pos.append(list(d.hard_pos))
+            cov_r = [0] * regions
+            cov_w = [0] * regions
+            valid = [False] * regions
+            pend: dict = {}
             self.region_ids.append(ids)
             self.idx_of.append({region: i for i, region in enumerate(ids)})
-            self.cov_r.append([0] * regions)
-            self.cov_w.append([0] * regions)
-            self.cov_valid.append([False] * regions)
-            self.pend.append({})
+            self.cov_r.append(cov_r)
+            self.cov_w.append(cov_w)
+            self.cov_valid.append(valid)
+            self.pend.append(pend)
+            is_write, addr, size, pc, think = packed.core_columns(c)
+            self.core_state.append((
+                list(d.region_idx), list(d.amask), list(d.wmask),
+                list(think), cov_r, cov_w, valid, pend, pend.get, ids,
+                is_write, addr, size, pc,
+            ))
 
     # -- the issue loop ------------------------------------------------------
 
@@ -186,8 +165,8 @@ class _BatchRunner:
         protocol = self.protocol
         stats = protocol.stats
         clocks = sim.clocks
-        packed = sim._packed
         counts = self.counts
+        core_state = self.core_state
         cursor = [0] * self.cores
         heap = [(clocks[c], c) for c in range(self.cores) if counts[c]]
         heapify(heap)
@@ -195,25 +174,10 @@ class _BatchRunner:
         protocol_read = protocol.read
         protocol_write = protocol.write
         max_accesses = self.max_accesses
-        runahead = self.runahead
         refresh = self._refresh
-        next_hard = self._next_hard
+        sync_region = self._sync_region
         issued = 0
         instructions = 0
-        # Everything a pop binds about its core, behind one list index:
-        # a pop frequently retires a single event (exact-order regime),
-        # so per-core state must cost one unpack, not a dozen lookups.
-        core_state = []
-        for c in range(self.cores):
-            is_write, addr, size, pc, _ = packed.core_columns(c)
-            pend = self.pend[c]
-            core_state.append((
-                self.reg[c], self.am[c], self.wm[c], self.think[c],
-                self.cov_r[c], self.cov_w[c], self.cov_valid[c],
-                pend, pend.get, self.think_cum[c], self.writes_cum[c],
-                self.wpop_cum[c], self.region_ids[c],
-                is_write, addr, size, pc,
-            ))
         protocol.batch_hook = self._sync_one
         try:
             while heap:
@@ -224,62 +188,14 @@ class _BatchRunner:
                 i = cursor[core]
                 n_events = counts[core]
                 (reg, am, wm, think, cov_r, cov_w, valid, pend, pend_get,
-                 think_cum, writes_cum, wpop_cum, region_ids,
-                 is_write, addr, size, pc) = core_state[core]
-                first = True
-                limit = next_hard(core, i) if runahead else -1
+                 region_ids, is_write, addr, size, pc) = core_state[core]
                 # Per-pop counter deltas: stat increments commute with the
                 # scalar transactions interleaved below, so they fold into
                 # the shared counters once per pop instead of once per hit.
                 n_reads = 0
                 n_writes = 0
                 seq_add = 0
-                while i < n_events:
-                    if max_accesses is not None and issued >= max_accesses:
-                        break
-                    if runahead:
-                        if i >= limit:
-                            limit = next_hard(core, i)
-                        if limit > i:
-                            # Commit covered hits until the first event the
-                            # cached ownership does not cover (or the next
-                            # hard event); bulk effects from prefix sums.
-                            i0 = i
-                            while i < limit:
-                                dense = reg[i]
-                                if not valid[dense]:
-                                    refresh(core, dense)
-                                w = wm[i]
-                                if w:
-                                    if w & ~cov_w[dense]:
-                                        break
-                                elif am[i] & ~cov_r[dense]:
-                                    break
-                                e = pend_get(dense)
-                                if e is None:
-                                    pend[dense] = e = [0, 0]
-                                e[0] |= am[i]
-                                e[1] |= w
-                                i += 1
-                            n = i - i0
-                            if n:
-                                span_think = think_cum[i] - think_cum[i0]
-                                nw = writes_cum[i] - writes_cum[i0]
-                                n_writes += nw
-                                n_reads += n - nw
-                                seq_add += wpop_cum[i] - wpop_cum[i0]
-                                instructions += span_think + n
-                                clock += span_think + n * hit_latency
-                                issued += n
-                                first = False
-                                continue
-                    # One event, in exact heap order: continue only while the
-                    # scalar loop would hand this core the next pop anyway.
-                    if not first and heap:
-                        top = heap[0]
-                        if clock > top[0] or (clock == top[0]
-                                              and core > top[1]):
-                            break
+                while True:
                     t = think[i]
                     dense = reg[i]
                     if not valid[dense]:
@@ -299,7 +215,7 @@ class _BatchRunner:
                             n_reads += 1
                         clock += t + hit_latency
                     else:
-                        self._sync_region(region_ids[dense])
+                        sync_region(region_ids[dense])
                         clock += t
                         if is_write[i]:
                             clock += protocol_write(core, addr[i], size[i],
@@ -310,7 +226,16 @@ class _BatchRunner:
                     instructions += t + 1
                     issued += 1
                     i += 1
-                    first = False
+                    if i == n_events or (max_accesses is not None
+                                         and issued >= max_accesses):
+                        break
+                    # Continue only while the scalar loop would hand this
+                    # core the next pop anyway.
+                    if heap:
+                        top = heap[0]
+                        if clock > top[0] or (clock == top[0]
+                                              and core > top[1]):
+                            break
                 if n_reads:
                     stats.reads += n_reads
                     stats.read_hits += n_reads
@@ -328,16 +253,6 @@ class _BatchRunner:
         finally:
             protocol.batch_hook = None
 
-    def _next_hard(self, core: int, i: int) -> int:
-        """Index of the first non-commuting event at or after ``i``."""
-        hard = self.hard_pos[core]
-        p = self.hard_ptr[core]
-        n = len(hard)
-        while p < n and hard[p] < i:
-            p += 1
-        self.hard_ptr[core] = p
-        return hard[p] if p < n else self.counts[core]
-
     # -- coverage ------------------------------------------------------------
 
     def _refresh(self, core: int, dense: int) -> None:
@@ -351,26 +266,8 @@ class _BatchRunner:
 
     def _sync_region(self, region: int) -> None:
         """Flush + invalidate (every core, ``region``) before a scalar call."""
-        apply_hits = self.protocol.apply_deferred_hits
-        idx_of = self.idx_of
-        pend = self.pend
-        cov_valid = self.cov_valid
         for core in range(self.cores):
-            dense = idx_of[core].get(region)
-            if dense is None:
-                continue
-            e = pend[core].get(dense)
-            if e is not None:
-                amask, wmask = e
-                landed = apply_hits(core, region, amask, wmask)
-                amask &= ~landed
-                wmask &= ~landed
-                if amask | wmask:
-                    e[0] = amask
-                    e[1] = wmask
-                else:
-                    del pend[core][dense]
-            cov_valid[core][dense] = False
+            self._sync_one(core, region)
 
     def _sync_one(self, core: int, region: int, extra=None) -> None:
         """Flush pending hits and drop cached coverage for (core, region).

@@ -2,22 +2,13 @@
 
 The packed format (:mod:`repro.trace.packed`) stores the raw access
 columns; batch execution (:mod:`repro.system.batch`) additionally needs,
-per core, the *region* each event touches, its word-range *mask*, and
-prefix sums of think time / write counts / written-word popcounts so a
-whole span of events can be retired with O(1) arithmetic.  Those columns
-depend only on the trace and the region size, so they are computed once
-per ``(trace, region_bytes)`` — with numpy when it is importable, with
-``array`` + pure-Python loops otherwise — and memoized on the trace.
-
-Two global classifications ride along, both trace-level facts:
-
-* a region is **private** when exactly one core ever touches it;
-* a region is **read-only** when no core ever writes it.
-
-Events on private or read-only regions commute with other cores'
-transactions as long as they *hit*, which is what lets the batch runner
-execute them ahead of the global clock order.  Every other event sits in
-the per-core ``hard_pos`` index and is replayed in exact heap order.
+per core, the *region* each event touches, as a dense index into the
+core's sorted region table, and the event's word-range access and write
+*masks*, which its hit test compares with the core's cached coverage.
+Those columns depend only on the trace and the region size, so they are
+computed once per ``(trace, region_bytes)`` — with numpy when it is
+importable, with ``array`` + pure-Python loops otherwise — and memoized
+on the trace.
 """
 
 from __future__ import annotations
@@ -58,31 +49,23 @@ class CoreDerived:
     live in flat arrays instead of dicts keyed by raw region ids.
     """
 
-    __slots__ = ("region_idx", "amask", "wmask", "think_cum", "writes_cum",
-                 "wpop_cum", "hard_pos", "region_ids")
+    __slots__ = ("region_idx", "amask", "wmask", "region_ids")
 
     def __init__(self, region_idx: array, amask: array, wmask: array,
-                 think_cum: array, writes_cum: array, wpop_cum: array,
-                 hard_pos: array, region_ids: array):
+                 region_ids: array):
         self.region_idx = region_idx
         self.amask = amask
         self.wmask = wmask
-        self.think_cum = think_cum
-        self.writes_cum = writes_cum
-        self.wpop_cum = wpop_cum
-        self.hard_pos = hard_pos
         self.region_ids = region_ids
 
 
 class DerivedColumns:
     """Derived columns for every core of one packed trace."""
 
-    __slots__ = ("region_bytes", "total_regions", "per_core")
+    __slots__ = ("region_bytes", "per_core")
 
-    def __init__(self, region_bytes: int, total_regions: int,
-                 per_core: List[CoreDerived]):
+    def __init__(self, region_bytes: int, per_core: List[CoreDerived]):
         self.region_bytes = region_bytes
-        self.total_regions = total_regions
         self.per_core = per_core
 
 
@@ -106,40 +89,17 @@ def derive(packed, region_bytes: int) -> DerivedColumns:
 
 def _derive_python(packed, region_bytes: int) -> DerivedColumns:
     words = region_bytes // WORD_BYTES
-    cores = packed.cores
-    touched_by: dict = {}  # region -> core count (capped at 2)
-    written: set = set()
-    core_regions: List[set] = []
-    for core in range(cores):
-        w, a, _s, _p, _t = packed.core_columns(core)
-        regs = set()
-        for i in range(len(a)):
-            region = a[i] // region_bytes
-            regs.add(region)
-            if w[i]:
-                written.add(region)
-        for region in regs:
-            touched_by[region] = min(touched_by.get(region, 0) + 1, 2)
-        core_regions.append(regs)
-    hard = {region for region, count in touched_by.items()
-            if count > 1 and region in written}
     per_core: List[CoreDerived] = []
-    for core in range(cores):
-        w, a, s, _p, t = packed.core_columns(core)
-        region_ids = array("q", sorted(core_regions[core]))
+    for core in range(packed.cores):
+        w, a, s, _p, _t = packed.core_columns(core)
+        region_ids = array("q", sorted({addr // region_bytes for addr in a}))
         idx_of = {region: i for i, region in enumerate(region_ids)}
         n = len(a)
         region_idx = array("i", bytes(4 * n))
         amask = array("q", bytes(8 * n))
         wmask = array("q", bytes(8 * n))
-        think_cum = array("q", bytes(8 * (n + 1)))
-        writes_cum = array("q", bytes(8 * (n + 1)))
-        wpop_cum = array("q", bytes(8 * (n + 1)))
-        hard_pos = array("q")
-        th = wr = wp = 0
         for i in range(n):
-            addr = a[i]
-            region, offset = divmod(addr, region_bytes)
+            region, offset = divmod(a[i], region_bytes)
             first = offset // WORD_BYTES
             last_offset = offset + max(s[i], 1) - 1
             if last_offset >= region_bytes:
@@ -151,27 +111,15 @@ def _derive_python(packed, region_bytes: int) -> DerivedColumns:
             amask[i] = mask
             if w[i]:
                 wmask[i] = mask
-                wr += 1
-                wp += mask.bit_count()
-            if region in hard:
-                hard_pos.append(i)
-            th += t[i]
-            think_cum[i + 1] = th
-            writes_cum[i + 1] = wr
-            wpop_cum[i + 1] = wp
-        per_core.append(CoreDerived(region_idx, amask, wmask, think_cum,
-                                    writes_cum, wpop_cum, hard_pos,
-                                    region_ids))
-    return DerivedColumns(region_bytes, len(touched_by), per_core)
+        per_core.append(CoreDerived(region_idx, amask, wmask, region_ids))
+    return DerivedColumns(region_bytes, per_core)
 
 
 def _derive_numpy(packed, region_bytes: int, np) -> DerivedColumns:
     words = region_bytes // WORD_BYTES
-    cores = packed.cores
-    regions_per_core = []
-    masks = []
-    for core in range(cores):
-        w, a, s, _p, t = packed.core_columns(core)
+    per_core: List[CoreDerived] = []
+    for core in range(packed.cores):
+        w, a, s, _p, _t = packed.core_columns(core)
         wv = np.frombuffer(w, dtype=np.int8) if len(w) else np.zeros(0, np.int8)
         av = (np.frombuffer(a, dtype=np.int64) if len(a)
               else np.zeros(0, np.int64))
@@ -185,62 +133,19 @@ def _derive_numpy(packed, region_bytes: int, np) -> DerivedColumns:
                         last_offset >> 3)
         amask = ((np.int64(1) << (last - first + 1)) - np.int64(1)) << first
         wmask = np.where(wv != 0, amask, np.int64(0))
-        regions_per_core.append((region, np.unique(region),
-                                 np.unique(region[wv != 0])))
-        masks.append((wv, amask, wmask, t))
-    all_unique = (np.concatenate([u for _, u, _ in regions_per_core])
-                  if cores else np.zeros(0, np.int64))
-    vals, counts = np.unique(all_unique, return_counts=True)
-    shared = vals[counts >= 2]
-    written = np.unique(np.concatenate(
-        [wu for _, _, wu in regions_per_core])) if cores else shared
-    hard_regions = np.intersect1d(shared, written, assume_unique=True)
-    per_core: List[CoreDerived] = []
-    for core in range(cores):
-        region, region_ids, _wu = regions_per_core[core]
-        wv, amask, wmask, t = masks[core]
-        n = len(region)
-        region_idx = np.searchsorted(region_ids, region).astype(np.int32)
-        tv = (np.frombuffer(t, dtype=np.int32) if len(t)
-              else np.zeros(0, np.int32))
-        think_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(tv, dtype=np.int64, out=think_cum[1:])
-        writes_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(wv != 0, dtype=np.int64, out=writes_cum[1:])
-        wpop_cum = np.zeros(n + 1, np.int64)
-        np.cumsum(_popcount(np, wmask), dtype=np.int64, out=wpop_cum[1:])
-        if len(hard_regions):
-            hard_ev = np.isin(region, hard_regions)
-            hard_pos = np.flatnonzero(hard_ev).astype(np.int64)
-        else:
-            hard_pos = np.zeros(0, np.int64)
+        region_ids = np.unique(region)
         per_core.append(CoreDerived(
-            _as_array("i", region_idx, np),
+            _as_array("i", np.searchsorted(region_ids, region), np),
             _as_array("q", amask, np),
             _as_array("q", wmask, np),
-            _as_array("q", think_cum, np),
-            _as_array("q", writes_cum, np),
-            _as_array("q", wpop_cum, np),
-            _as_array("q", hard_pos, np),
             _as_array("q", region_ids, np),
         ))
-    return DerivedColumns(region_bytes, int(len(vals)), per_core)
-
-
-def _popcount(np, values):
-    """Per-element popcount of a non-negative int64 array."""
-    fn = getattr(np, "bitwise_count", None)
-    if fn is not None:
-        return fn(values).astype(np.int64)
-    out = np.zeros(len(values), np.int64)
-    for i, v in enumerate(values.tolist()):
-        out[i] = v.bit_count()
-    return out
+    return DerivedColumns(region_bytes, per_core)
 
 
 def _as_array(typecode: str, np_values, np) -> array:
     """An ``array`` copy of a 1-D numpy integer array (native endian)."""
-    dtype = {"b": np.int8, "i": np.int32, "q": np.int64}[typecode]
+    dtype = {"i": np.int32, "q": np.int64}[typecode]
     out = array(typecode)
     out.frombytes(np.ascontiguousarray(np_values, dtype=dtype).tobytes())
     return out

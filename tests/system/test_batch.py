@@ -3,14 +3,16 @@
 The contract of :mod:`repro.system.batch` is *bit identity*: for every
 eligible trace, ``simulate(..., batch=True)`` must produce the same
 :class:`RunStats` as the scalar reference loop, field for field.  These
-tests sweep that equality across protocols, workloads, and the edge
-cases (truncation, single core, forced pure-Python derive, the decline
-conditions) rather than asserting anything about the batched loop's
-internals.
+tests sweep that equality across protocols, workloads, machines that
+evict, recall or forward, every short trace over a small alphabet, and
+the edge cases (truncation, single core, forced pure-Python derive, the
+decline conditions) rather than asserting anything about the batched
+loop's internals.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -21,7 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.common.params import ProtocolKind, SystemConfig
+from repro.common.params import (CacheGeometry, L1Organization, L2Config,
+                                 PredictorKind, ProtocolKind, SystemConfig)
 from repro.system import batch as batch_mod
 from repro.system.machine import simulate
 from repro.trace.events import MemAccess
@@ -32,11 +35,36 @@ from tests.conftest import ALL_KINDS
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
-#: (workload, cores, per_core): each workload at 4 x 300, and kmeans
+#: (id, workload, cores, per_core): each workload at 4 x 300, and kmeans
 #: again at 8 x 400, where twice as many cores share its regions.
-SHAPES = ([pytest.param(workload, 4, 300, id=workload) for workload in
+SHAPES = ([(workload, workload, 4, 300) for workload in
            ("kmeans", "histogram", "linear-regression", "fft")]
-          + [pytest.param("kmeans", 8, 400, id="kmeans-8x400")])
+          + [("kmeans-8x400", "kmeans", 8, 400)])
+
+#: Machines beyond the default, each crossed with two 4 x 300 shapes:
+#: a 16-region L2 recalls 115-153 times per run, a 4-set L1 evicts 39-92
+#: times, and the sector L1 and 3-hop forwarding take their own paths.
+MACHINES = {
+    "l2-1kib": {"l2": L2Config(tiles=1, tile_kib=1)},
+    "l1-4set": {"l1": CacheGeometry(sets=4)},
+    "sector": {"l1_organization": L1Organization.SECTOR},
+    "three-hop": {"three_hop": True},
+}
+MACHINE_WORKLOADS = ("kmeans", "histogram")
+
+
+def differential_cases():
+    for sid, workload, cores, per_core in SHAPES:
+        for kind in ALL_KINDS:
+            yield pytest.param(kind, workload, cores, per_core, {},
+                               id=f"{sid}-{kind.value}")
+    for machine, overrides in MACHINES.items():
+        for workload in MACHINE_WORKLOADS:
+            for kind in ALL_KINDS:
+                if machine == "sector" and kind is ProtocolKind.MESI:
+                    continue  # the sector L1 is a Protozoa organisation
+                yield pytest.param(kind, workload, 4, 300, overrides,
+                                   id=f"{machine}-{workload}-{kind.value}")
 
 
 def packed(workload: str, cores: int = 4, per_core: int = 300,
@@ -45,11 +73,12 @@ def packed(workload: str, cores: int = 4, per_core: int = 300,
         build_streams(workload, cores=cores, per_core=per_core, seed=seed))
 
 
-def config_for(kind: ProtocolKind, cores: int = 4) -> SystemConfig:
+def config_for(kind: ProtocolKind, cores: int = 4, **machine) -> SystemConfig:
     # check_values=False: golden-value tracking is a batch decline
     # condition, and the differential here is against the scalar loop's
     # counters, which do not depend on it.
-    return SystemConfig(protocol=kind, cores=cores, check_values=False)
+    return SystemConfig(protocol=kind, cores=cores, check_values=False,
+                        **machine)
 
 
 def both(trace: PackedTrace, config: SystemConfig, **kwargs):
@@ -59,12 +88,22 @@ def both(trace: PackedTrace, config: SystemConfig, **kwargs):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    @pytest.mark.parametrize("workload,cores,per_core", SHAPES)
-    def test_batch_matches_scalar(self, kind, workload, cores, per_core):
-        scalar, batched = both(packed(workload, cores, per_core),
-                               config_for(kind, cores))
-        assert batched == scalar
+    @pytest.mark.parametrize("kind,workload,cores,per_core,machine",
+                             list(differential_cases()))
+    def test_batch_matches_scalar(self, kind, workload, cores, per_core,
+                                  machine):
+        trace = packed(workload, cores, per_core)
+        config = config_for(kind, cores, **machine)
+        scalar = simulate(trace, config, batch=False)
+        batched = simulate(trace, config, batch=True)
+        assert batched.stats.to_dict() == scalar.stats.to_dict()
+        recalls = batched.protocol.l2.capacity_recalls
+        assert recalls == scalar.protocol.l2.capacity_recalls
+        # The pressure machines must really evict or recall.
+        if "l2" in machine:
+            assert recalls > 0
+        if "l1" in machine:
+            assert scalar.stats.evictions > 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_truncation_matches_scalar(self, kind):
@@ -80,14 +119,6 @@ class TestDifferential:
         scalar, batched = both(trace, config_for(ProtocolKind.MESI, cores=1))
         assert batched == scalar
 
-    def test_all_hard_events_trace(self):
-        # linear-regression is ~95% shared-and-written events: run-ahead
-        # stretches are nearly empty and the one-event in-order path
-        # carries the run.  Identity must hold there too.
-        scalar, batched = both(packed("linear-regression"),
-                               config_for(ProtocolKind.PROTOZOA_MW))
-        assert batched == scalar
-
     def test_pure_python_derive_matches(self, monkeypatch):
         # Force the no-numpy derive path (what CI without numpy runs) and
         # re-check identity end to end on a fresh, unmemoized trace.
@@ -98,6 +129,43 @@ class TestDifferential:
         scalar, batched = both(packed("kmeans", seed=7),
                                config_for(ProtocolKind.PROTOZOA_SW))
         assert batched == scalar
+
+
+#: The exhaustive differential's machine: 2 cores, an L1 of one 72-byte
+#: set (one 64-B block with its tag, or a few single-word blocks), and a
+#: predictor that fetches only the missed words, so two regions evict
+#: each other and a region is often cached in pieces.
+TINY = dict(cores=2, predictor=PredictorKind.SINGLE_WORD,
+            l1=CacheGeometry(sets=1, set_bytes=72, fixed_ways=1))
+REGION_A, REGION_B, REGION_C = 0, 64, 128
+#: Core 0's alphabet: two words of region A read and one written, and a
+#: write to region B, which shares the L1's one set with A.
+CORE0_EVENTS = (MemAccess.read(REGION_A), MemAccess.write(REGION_A + 40),
+                MemAccess.write(REGION_B), MemAccess.read(REGION_A + 8))
+#: Core 1 first reads a third region late enough that its second event,
+#: one of these, probes region A after core 0's hits.
+CORE1_PROBES = (MemAccess.read(REGION_A + 40), MemAccess.write(REGION_A))
+
+
+class TestExhaustive:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_every_small_trace_matches_scalar(self, kind):
+        # Every 4-event sequence on core 0 against each core-1 probe: hits
+        # deferred across evictions of their region, a victim that takes
+        # deferred bits with it, and a foreign probe that must see them.
+        config = config_for(kind, **TINY)
+        opening = MemAccess.read(REGION_C, think=1500)
+        mismatched = []
+        for events in itertools.product(CORE0_EVENTS, repeat=4):
+            for probe in CORE1_PROBES:
+                trace = PackedTrace.from_streams(
+                    [list(events), [opening, probe]])
+                scalar, batched = both(trace, config)
+                if batched != scalar:
+                    mismatched.append((events, probe))
+        runs = len(CORE0_EVENTS) ** 4 * len(CORE1_PROBES)
+        assert not mismatched, (f"{len(mismatched)} of {runs} traces differ;"
+                                f" first: {mismatched[0]}")
 
 
 class _Boom:

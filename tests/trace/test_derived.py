@@ -19,11 +19,9 @@ def packed(workload: str = "kmeans", cores: int = 4, per_core: int = 200,
 
 
 def columns_equal(a: DerivedColumns, b: DerivedColumns) -> bool:
-    if (a.region_bytes, a.total_regions, len(a.per_core)) != (
-            b.region_bytes, b.total_regions, len(b.per_core)):
+    if (a.region_bytes, len(a.per_core)) != (b.region_bytes, len(b.per_core)):
         return False
-    slots = ("region_idx", "amask", "wmask", "think_cum", "writes_cum",
-             "wpop_cum", "hard_pos", "region_ids")
+    slots = ("region_idx", "amask", "wmask", "region_ids")
     return all(getattr(ca, name) == getattr(cb, name)
                for ca, cb in zip(a.per_core, b.per_core) for name in slots)
 
@@ -41,10 +39,28 @@ class TestDerive:
         cols = derive(trace, 64)
         assert len(cols.per_core) == 3
         for core in cols.per_core:
-            assert len(core.region_idx) == 150
-            # Prefix sums carry a leading zero for O(1) span differences.
-            assert len(core.think_cum) == 151
-            assert core.think_cum[0] == 0
+            assert len(core.region_idx) == len(core.amask) == 150
+            assert len(core.wmask) == 150
+
+    def test_values_on_a_hand_built_trace(self):
+        # 64-B regions of 8 words.  Core 0 writes two words of region 0 in
+        # one access, and reads 24 bytes from region 1's last word: the
+        # access runs into region 2, and its mask is clamped to word 7.
+        streams = [[MemAccess.read(0x48), MemAccess.write(0x10, size=16),
+                    MemAccess.read(0x78, size=24), MemAccess.write(0x48)],
+                   [MemAccess.read(0x100), MemAccess.write(0x38),
+                    MemAccess.read(0x100, size=64)]]
+        trace = PackedTrace.from_streams(streams)
+        # Per core: region_ids, dense region_idx, amask, wmask.
+        expected = [
+            ([0, 1], [1, 0, 1, 1], [0b10, 0b1100, 0b10000000, 0b10],
+             [0, 0b1100, 0, 0b10]),
+            ([0, 4], [1, 0, 1], [0b1, 0b10000000, 0b11111111],
+             [0, 0b10000000, 0]),
+        ]
+        for cols in (derived_mod._derive_python(trace, 64), derive(trace, 64)):
+            assert [(list(c.region_ids), list(c.region_idx), list(c.amask),
+                     list(c.wmask)) for c in cols.per_core] == expected
 
     def test_region_width_rejected(self):
         with pytest.raises(SimulationError):
@@ -55,24 +71,3 @@ class TestDerivedFor:
     def test_memoizes_per_trace(self):
         trace = packed()
         assert derived_for(trace, 64) is derived_for(trace, 64)
-
-    def test_events_hard_positions_are_sorted(self):
-        cols = derive(packed("linear-regression"), 64)
-        for core in cols.per_core:
-            positions = list(core.hard_pos)
-            assert positions == sorted(positions)
-
-    def test_synthetic_private_trace_has_no_hard_events(self):
-        # Each core touches its own disjoint regions: everything commutes.
-        streams = [[MemAccess.read(c * 0x10000 + 8 * i) for i in range(20)]
-                   for c in range(2)]
-        cols = derive(PackedTrace.from_streams(streams), 64)
-        assert all(len(core.hard_pos) == 0 for core in cols.per_core)
-
-    def test_shared_written_region_is_hard_everywhere(self):
-        # One region, read by core 0, written by core 1: every event on it
-        # is a hard (non-commuting) position.
-        streams = [[MemAccess.read(0) for _ in range(5)],
-                   [MemAccess.write(0) for _ in range(5)]]
-        cols = derive(PackedTrace.from_streams(streams), 64)
-        assert all(len(core.hard_pos) == 5 for core in cols.per_core)
