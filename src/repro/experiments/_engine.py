@@ -13,9 +13,10 @@ content-addressed by the full run recipe:
   outcomes or the serialized layout).
 * **ResultCache** — one JSON blob per digest in the blob store
   (:mod:`repro.store`; by default an ``FsStore`` over
-  ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``).  Writes are atomic
-  (temp file + rename) so concurrent engines never observe torn
-  results.  ``REPRO_CACHE=0`` disables it.
+  ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``), read under the
+  policy the trace cache shares (:class:`~repro.store.cache.BlobCache`).
+  Writes are atomic (temp file + rename) so concurrent engines never
+  observe torn results.  ``REPRO_CACHE=0`` disables it.
 * **ExperimentEngine** — cache-aware execution.  ``run()`` serves one
   spec; ``run_many()`` fans cache misses out over a persistent
   ``ProcessPoolExecutor`` sized by ``$REPRO_JOBS`` (default: all cores),
@@ -58,7 +59,6 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.params import ProtocolKind, SystemConfig
@@ -68,11 +68,12 @@ from repro.resilience.journal import SweepJournal
 from repro.resilience.lease import LeaseBoard
 from repro.resilience.log import warn as resilience_warn
 from repro.resilience.retry import RetryPolicy
-from repro.store import NAMESPACE_RESULTS, BlobStore, get_store
+from repro.store import NAMESPACE_RESULTS
+from repro.store.cache import BlobCache
 from repro.store.fs import default_trace_root
 from repro.system.machine import simulate
 from repro.system.results import RunResult
-from repro.trace._cache import cache_enabled, packed_streams
+from repro.trace._cache import packed_streams
 
 #: Bump whenever simulation behaviour or the serialized result layout
 #: changes: every previously cached entry becomes unreachable.
@@ -191,78 +192,40 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-class ResultCache:
+class ResultCache(BlobCache):
     """Content-addressed store of serialized run results.
 
     The cache's only policy is *meaning*: it knows a result blob must
-    parse back into a :class:`~repro.system.results.RunResult` and keys
-    blobs as ``results/<digest>.json``.  Durability, atomicity, and
-    location all belong to the pluggable :class:`~repro.store.BlobStore`
-    it sits on (local ``FsStore`` tree or a shared ``HttpStore`` — see
-    docs/distributed.md); by default it follows :func:`repro.store.get_store`
-    per call, so ``--store`` / ``REPRO_STORE`` and the hermetic test
-    fixtures all take effect without plumbing.
-
-    Reads distinguish *absent* (a plain miss) from *corrupt* (the blob
-    exists but does not parse): corrupt blobs quarantine through the
-    store — never silently deleted — and the miss triggers a fresh run
-    that rewrites the entry.  ``REPRO_CACHE=0`` disables it.
+    decode back into a :class:`~repro.system.results.RunResult` and keys
+    blobs as ``results/<digest>.json``; the read, quarantine and warning
+    policy is :class:`~repro.store.cache.BlobCache`'s.  Durability,
+    atomicity, and location all belong to the pluggable
+    :class:`~repro.store.BlobStore` it sits on (local ``FsStore`` tree
+    or a shared ``HttpStore`` — see docs/distributed.md); by default it
+    follows :func:`repro.store.get_store` per call, so ``--store`` /
+    ``REPRO_STORE`` and the hermetic test fixtures all take effect
+    without plumbing.
     """
 
-    def __init__(self, *, enabled: Optional[bool] = None,
-                 store: Optional[BlobStore] = None):
-        self._store = store
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-
-    @property
-    def store(self) -> BlobStore:
-        """The backend in effect (pinned at construction, else the
-        process-wide :func:`repro.store.get_store` resolved per use)."""
-        return self._store if self._store is not None else get_store()
+    namespace = NAMESPACE_RESULTS
+    suffix = ".json"
+    kind = "result"
+    event = "result-cache-corrupt"
+    message = "unreadable result blob {key}"
+    fault_site = SITE_CACHE_CORRUPT
 
     @staticmethod
     def key_for(spec: RunSpec) -> str:
         return f"{NAMESPACE_RESULTS}/{spec.digest()}.json"
 
-    def path_for(self, spec: RunSpec) -> Optional[Path]:
-        """Local blob path (``None`` on a remote store)."""
-        return self.store.local_path(self.key_for(spec))
+    @staticmethod
+    def decode(raw: bytes) -> RunResult:
+        # UnicodeDecodeError is a ValueError: a non-UTF-8 blob takes the
+        # same quarantine path as malformed JSON.
+        return RunResult.from_dict(json.loads(raw.decode("utf-8")))
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
-        if not self.enabled:
-            return None
-        store = self.store
-        key = self.key_for(spec)
-        injector = get_injector()
-        if injector is not None:
-            path = store.local_path(key)
-            if path is not None:
-                injector.maybe_corrupt(SITE_CACHE_CORRUPT, path)
-        raw = store.get(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            # UnicodeDecodeError is a ValueError: a non-UTF-8 blob takes
-            # the same quarantine path as malformed JSON.
-            result = RunResult.from_dict(json.loads(raw.decode("utf-8")))
-        except (ValueError, KeyError, TypeError) as exc:
-            # The entry exists but is damaged: preserve the evidence in
-            # quarantine and treat it as a miss (the rerun rewrites it).
-            self.quarantined += 1
-            quarantined = store.quarantine(key, f"{type(exc).__name__}: {exc}")
-            resilience_warn(
-                "result-cache-corrupt",
-                f"unreadable result blob {key}",
-                cache="result", error=str(exc),
-                quarantined=quarantined if quarantined else "FAILED")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self.read(self.key_for(spec))
 
     def put(self, spec: RunSpec, result: RunResult) -> None:
         if not self.enabled:
@@ -315,6 +278,9 @@ class ExperimentEngine:
         self.journal = journal
         self.lease = lease
         self.executed = 0  # specs actually simulated (cache misses)
+        # Specs served by run()/run_many(), cache hits included, counted
+        # as each lands: the live progress the service reports.
+        self.completed = 0
         self.absorbed = 0  # sharded mode: results computed by teammates
         self.pool_rebuilds = 0
         self.degraded = False  # pool gave up; everything runs serial now
@@ -399,19 +365,20 @@ class ExperimentEngine:
             self.metrics.merge_dict(result.metrics)
         return result
 
-    def _journal_record(self, spec: RunSpec) -> None:
+    def _record_completion(self, spec: RunSpec) -> None:
+        self.completed += 1
         if self.journal is not None:
             self.journal.record(spec.digest(), spec.payload())
 
     def run(self, spec: RunSpec) -> RunResult:
         cached = self.cache.get(spec)
         if cached is not None:
-            self._journal_record(spec)
+            self._record_completion(spec)
             return self._absorb_metrics(cached)
         result = execute_spec(spec)
         self.executed += 1
         self.cache.put(spec, result)
-        self._journal_record(spec)
+        self._record_completion(spec)
         return self._absorb_metrics(result)
 
     # -- batched runs ----------------------------------------------------------
@@ -447,7 +414,7 @@ class ExperimentEngine:
             cached = self.cache.get(spec)
             if cached is not None:
                 out[spec] = self._absorb_metrics(cached)
-                self._journal_record(spec)
+                self._record_completion(spec)
             else:
                 todo.append(spec)
                 pending.add(spec)
@@ -467,7 +434,7 @@ class ExperimentEngine:
             self.executed += 1
             self.cache.put(spec, result)
             out[spec] = self._absorb_metrics(result)
-            self._journal_record(spec)
+            self._record_completion(spec)
 
     def _run_parallel(self, todo: List[RunSpec],
                       out: Dict[RunSpec, RunResult]) -> None:
@@ -547,7 +514,7 @@ class ExperimentEngine:
                         self.cache.put_blob(spec, blob)
                         out[spec] = self._absorb_metrics(
                             RunResult.from_dict(json.loads(blob)))
-                        self._journal_record(spec)
+                        self._record_completion(spec)
             if broken:
                 # A broken pool poisons every outstanding future.
                 for future in not_done:

@@ -82,19 +82,6 @@ def _split_unescaped(text: str, sep: str,
     return parts
 
 
-# Interned series keys.  record_run_metrics() formats the same ~20
-# (name, labels) combinations once per run, and sweeps call it once per
-# cell — the sort + per-label f-string work is pure waste after the
-# first time.  The cache key is the name plus the sorted label items
-# (hashable for the str/int/enum values the registry actually sees);
-# unhashable values fall through to the slow path.  The cache is *reset*
-# when full rather than frozen: an adversarial label cardinality can
-# never grow it past the cap, and steady-state hot keys re-enter after
-# the flush instead of being locked out forever.
-_KEY_CACHE: Dict[tuple, str] = {}
-_KEY_CACHE_MAX = 4096
-
-
 def series_key(name: str, labels: Dict[str, object]) -> str:
     """Canonical series key: ``name{k1=v1,k2=v2}`` with sorted labels.
 
@@ -104,21 +91,9 @@ def series_key(name: str, labels: Dict[str, object]) -> str:
     """
     if not labels:
         return name
-    try:
-        cache_key = (name,) + tuple(sorted(labels.items()))
-        cached = _KEY_CACHE.get(cache_key)
-    except TypeError:
-        cache_key = cached = None
-    if cached is not None:
-        return cached
     inner = ",".join(f"{_escape(str(k))}={_escape(str(labels[k]))}"
                      for k in sorted(labels))
-    key = f"{name}{{{inner}}}"
-    if cache_key is not None:
-        if len(_KEY_CACHE) >= _KEY_CACHE_MAX:
-            _KEY_CACHE.clear()
-        _KEY_CACHE[cache_key] = key
-    return key
+    return f"{name}{{{inner}}}"
 
 
 def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:

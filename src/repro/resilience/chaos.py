@@ -110,17 +110,16 @@ def run_chaos(faults: str = "",
     saved = {name: os.environ.get(name)
              for name in ("REPRO_FAULTS", "REPRO_FAULTS_DIR",
                           "REPRO_TRACE_CACHE_DIR", "REPRO_OBS",
-                          "REPRO_STORE_RETRIES", "REPRO_STORE_TIMEOUT",
-                          "REPRO_RETRY_SEED")}
+                          "REPRO_STORE_TIMEOUT", "REPRO_RETRY_SEED")}
     os.environ["REPRO_TRACE_CACHE_DIR"] = str(scratch / "traces")
     os.environ.pop("REPRO_FAULTS", None)
     os.environ.pop("REPRO_FAULTS_DIR", None)
     # Ambient observability would attach wall-clock phase timings to every
     # serialized result and break the byte-identity comparison.
     os.environ.pop("REPRO_OBS", None)
-    # Ambient store tuning would change how many injected network faults
-    # one round trip can absorb; the rehearsal runs the stock policy.
-    os.environ.pop("REPRO_STORE_RETRIES", None)
+    # An ambient store timeout or retry seed would change how a round
+    # trip rides out the injected network faults; the rehearsal runs the
+    # stock policy.
     os.environ.pop("REPRO_STORE_TIMEOUT", None)
     os.environ.pop("REPRO_RETRY_SEED", None)
     reset_injector()

@@ -7,9 +7,10 @@ remote shared ``repro serve`` store gets exactly the same checks — and
 verifies what the hot paths assume:
 
 * the store is reachable (one connectivity check, first in the report);
-* every result blob parses back into a ``RunResult`` and every packed
-  trace passes the full format check
-  (:func:`repro.trace.packed.verify_file`, format version included);
+* every result blob and packed trace decodes exactly as a cache read
+  would decode it: the audit calls the cache's own
+  :meth:`~repro.store.cache.BlobCache.examine`, so a blob is flagged
+  here if and only if a read would quarantine it;
 * no blob sits in a fan-out directory other than its digest prefix
   (the backend's ``layout`` check);
 * no orphaned ``*.tmp`` files linger from interrupted writers;
@@ -18,8 +19,9 @@ verifies what the hot paths assume:
 
 Read-only by default; ``--fix`` deletes orphaned temp files and moves
 corrupt or misfiled blobs into quarantine (never plain deletion of a
-payload).  The process exits nonzero when any check fails, which makes
-the command usable as a CI/cron health probe.
+payload; a blob another process moved first is noted, not failed).  The
+process exits nonzero when any check fails, which makes the command
+usable as a CI/cron health probe.
 
 ``--prune-older-than DAYS`` adds garbage collection: blobs whose last
 write is older than the cutoff are evicted so a long-running service's
@@ -33,14 +35,13 @@ and only a human deletes evidence.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional
 
 from repro.resilience.log import warn as resilience_warn
+from repro.store.cache import damage_reason
 
 
 @dataclass
@@ -136,89 +137,62 @@ def _check_layout(store, namespace: str, label: str,
     return check
 
 
-def _check_entries(store, namespace: str, suffix: str, label: str,
-                   title: str, fix: bool, parse) -> CheckResult:
-    """Shared entry-integrity walk: every payload blob must ``parse``.
-
-    ``parse(key, raw_or_path)`` raises on damage; it receives the local
-    path when the backend has one (mmap/verify fast path) and the raw
-    bytes otherwise.
-    """
+def _check_entries(store, cache, label: str, title: str,
+                   fix: bool) -> CheckResult:
+    """Every payload blob of ``cache``'s namespace must decode as a read
+    through ``cache`` would decode it."""
     check = CheckResult(f"{label}: {title}")
-    keys = [k for k in store.list(f"{namespace}/") if k.endswith(suffix)]
+    keys = [k for k in store.list(f"{cache.namespace}/")
+            if k.endswith(cache.suffix)]
     good = 0
     for key in keys:
         name = key.split("/", 1)[1]
-        problem = None
-        path = store.local_path(key)
-        try:
-            if path is not None:
-                parse(key, path)
-            else:
-                raw = store.get(key)
-                if raw is None:
-                    continue  # evicted between list and read
-                parse(key, raw)
-        except Exception as exc:  # noqa: BLE001 — any damage quarantines
-            problem = (str(exc) if isinstance(exc, _VerifyFailure)
-                       else f"{type(exc).__name__}: {exc}")
-        if problem is None:
+        path = store.local_path(key) if cache.by_path else None
+        value, exc = cache.examine(store, key, path)
+        if value is not None:
             good += 1
             continue
-        if fix:
-            moved = store.quarantine(key, problem)
-            check.note(f"{name}: {problem} -> quarantined"
-                       if moved else f"{name}: {problem} (quarantine FAILED)")
-            if moved is None:
-                check.ok = False
-        else:
+        if exc is None:
+            continue  # evicted between list and read
+        problem = damage_reason(exc)
+        if not fix:
             check.fail(f"{name}: {problem}")
+            continue
+        moved = store.quarantine(key, problem)
+        if moved is None:
+            check.fail(f"{name}: {problem} (quarantine FAILED)")
+        else:
+            check.note(f"{name}: {problem} -> "
+                       f"{'quarantined' if moved else 'already quarantined'}")
     check.note(f"{good}/{len(keys)} entries verified")
     return check
 
 
-class _VerifyFailure(Exception):
-    """Carries a verify_file reason without exception-name prefixing."""
+def _check_namespace(store, cache, label: str, title: str,
+                     fix: bool) -> List[CheckResult]:
+    label = f"{label} {store.url()}"
+    return [
+        _check_entries(store, cache, label, title, fix),
+        _check_layout(store, cache.namespace, label, fix),
+        _check_orphans(store, cache.namespace, label, fix),
+        _check_quarantine(store, cache.namespace, label),
+    ]
 
 
 def check_result_store(store, fix: bool = False) -> List[CheckResult]:
     """The result-namespace audit."""
-    from repro.system.results import RunResult
+    from repro.experiments._engine import ResultCache
 
-    def parse(key, src):
-        raw = src.read_bytes() if isinstance(src, Path) else src
-        RunResult.from_dict(json.loads(raw.decode("utf-8")))
-
-    label = f"result store {store.url()}"
-    return [
-        _check_entries(store, "results", ".json", label,
-                       "entry integrity", fix, parse),
-        _check_layout(store, "results", label, fix),
-        _check_orphans(store, "results", label, fix),
-        _check_quarantine(store, "results", label),
-    ]
+    return _check_namespace(store, ResultCache, "result store",
+                            "entry integrity", fix)
 
 
 def check_trace_store(store, fix: bool = False) -> List[CheckResult]:
     """The packed-trace-namespace audit."""
-    from repro.trace.packed import PackedTrace, verify_file
+    from repro.trace._cache import TraceCache
 
-    def parse(key, src):
-        if isinstance(src, Path):
-            ok, reason = verify_file(src)
-            if not ok:
-                raise _VerifyFailure(reason)
-        else:
-            PackedTrace.loads(src)
-
-    label = f"trace store {store.url()}"
-    return [
-        _check_entries(store, "traces", ".bin", label,
-                       "packed-trace integrity", fix, parse),
-        _check_layout(store, "traces", label, fix),
-        _check_orphans(store, "traces", label, fix),
-        _check_quarantine(store, "traces", label),
-    ]
+    return _check_namespace(store, TraceCache, "trace store",
+                            "packed-trace integrity", fix)
 
 
 def _evict(store, key: str, size: int, mtime: float, now: float,

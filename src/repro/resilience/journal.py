@@ -1,13 +1,14 @@
 """The sweep journal: crash-safe record of completed run specs.
 
 One JSONL line per completed :class:`~repro.experiments._engine.RunSpec`
-(its digest plus the human-readable payload), appended with
-flush+fsync the moment the result lands.  If the sweeping process is
-killed — SIGKILL included — the journal survives with at worst one torn
-final line, which the loader tolerates; re-running with ``--resume``
-loads the completed set so only uncompleted specs replay (their results
-are also in the result cache, so the resumed sweep serves them as
-hits and the report comes out identical).
+(its digest plus the human-readable payload), appended through the
+fsync'd :class:`~repro.resilience.storage.JsonlLog` the moment the
+result lands.  If the sweeping process is killed — SIGKILL included —
+the journal survives with at worst one torn final line, which the
+loader tolerates; re-running with ``--resume`` loads the completed set
+so only uncompleted specs replay (their results are also in the result
+cache, so the resumed sweep serves them as hits and the report comes
+out identical).
 
 The journal is *append-only* and idempotent: recording an
 already-recorded digest is a no-op, so resumed sweeps never duplicate
@@ -25,10 +26,10 @@ for the next refresh.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Set
+
+from repro.resilience.storage import JsonlLog
 
 
 class SweepJournal:
@@ -36,8 +37,8 @@ class SweepJournal:
 
     def __init__(self, path):
         self.path = Path(path)
+        self._log = JsonlLog(self.path)
         self._completed: Set[str] = set()
-        self._fh = None
         self._offset = 0       # bytes of the file already consumed
         self.recorded = 0      # lines appended by this process
         self.resumed = 0       # digests loaded from a pre-existing file
@@ -47,30 +48,13 @@ class SweepJournal:
     def _consume_new(self) -> int:
         """Absorb complete lines appended past our offset; returns how
         many digests were new to this process."""
-        try:
-            fh = open(self.path, "rb")
-        except OSError:
-            return 0
+        entries, self._offset = self._log.read(self._offset)
         fresh = 0
-        with fh:
-            fh.seek(self._offset)
-            data = fh.read()
-        end = data.rfind(b"\n") + 1
-        if end == 0:
-            return 0  # nothing but a torn tail; retry next refresh
-        for line in data[:end].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-                digest = entry["digest"]
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                continue  # damaged line from a killed writer
-            if digest not in self._completed:
+        for entry in entries:
+            digest = entry.get("digest")
+            if isinstance(digest, str) and digest not in self._completed:
                 self._completed.add(digest)
                 fresh += 1
-        self._offset += end
         return fresh
 
     def refresh(self) -> int:
@@ -95,23 +79,16 @@ class SweepJournal:
         """Durably append one completion; no-op if already journaled."""
         if digest in self._completed:
             return False
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
         entry = {"digest": digest}
         if payload is not None:
             entry["spec"] = payload
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.append(entry)
         self._completed.add(digest)
         self.recorded += 1
         return True
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self

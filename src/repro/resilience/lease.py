@@ -13,13 +13,13 @@ filesystem *is* the coordinator, exactly like the fault-token budgets in
   line *implies* the blob is fetchable), then unlinks its lease;
 * **takeover** — a SIGKILL'd worker leaves its lease behind.  Any
   worker finding a lease older than the TTL (``REPRO_LEASE_TTL``,
-  default 300 s; long-running holders refresh their mtime via
-  :meth:`LeaseBoard.heartbeat`) renames it aside — ``os.replace`` of an
-  existing path succeeds for exactly one racer — and claims afresh.
+  default 300 s) renames it aside — ``os.replace`` of an existing path
+  succeeds for exactly one racer — and claims afresh.
 
-A takeover of a *live* but slow holder is safe, just wasteful: runs are
-deterministic and blob writes atomic, so both workers publish identical
-bytes.  The guarantee the tests pin is claim-exactly-once per race and
+A lease is never refreshed, so a live holder slower than the TTL is
+taken over too.  That is safe, just wasteful: runs are deterministic
+and blob writes atomic, so both workers publish identical bytes.  The
+guarantee the tests pin is claim-exactly-once per race and
 byte-identical final matrices, not zero duplicate work.
 """
 
@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Set
 
-#: Default seconds before an unrefreshed lease is presumed dead.
+#: Default seconds before a lease is presumed dead.
 DEFAULT_TTL_S = 300.0
 
 
@@ -128,15 +128,6 @@ class LeaseBoard:
         self._held.add(digest)
 
     # -- holding -------------------------------------------------------------
-
-    def heartbeat(self, digest: str) -> None:
-        """Refresh a held lease's mtime so slow runs outlive the TTL."""
-        if digest not in self._held:
-            return
-        try:
-            os.utime(self.path_for(digest))
-        except OSError:
-            pass  # taken over; the duplicate run still publishes same bytes
 
     def owner_of(self, digest: str) -> Optional[Dict]:
         """The parsed claim payload, or ``None`` when unleased/unreadable."""

@@ -13,7 +13,7 @@ Layering::
     rpc.py         JSON-RPC method registry + ThreadingHTTPServer
     client.py      stdlib urllib client (ServiceClient)
     app.py         SweepService: wiring + the RPC method bodies + serve()
-    dispatcher.py  the drain thread + the per-job progress journal
+    dispatcher.py  the drain thread
     queue.py       durable, dedup'ing priority queue (JobQueue)
     jobs.py        the job model and its content-addressed key
 
@@ -25,7 +25,7 @@ Use :func:`~repro.service.app.serve` / ``repro serve`` to run one, and
 
 from repro.service.app import DEFAULT_PORT, SweepService, serve, service_state_dir
 from repro.service.client import ServiceClient
-from repro.service.dispatcher import Dispatcher, JobJournal
+from repro.service.dispatcher import Dispatcher
 from repro.service.jobs import DEFAULT_TTL_S, Job, JobState, job_key
 from repro.service.queue import JobQueue
 from repro.service.rpc import METHODS, ServiceError, make_server
@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_TTL_S",
     "Dispatcher",
     "Job",
-    "JobJournal",
     "JobQueue",
     "JobState",
     "METHODS",

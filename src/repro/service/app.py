@@ -10,8 +10,8 @@ The service owns four pieces and their lifecycle:
   once per service, not per submission);
 * one durable :class:`~repro.service.queue.JobQueue` under the service
   state directory (``$REPRO_SERVICE_DIR``, default ``<cache
-  root>/service``), holding per-job sweep journals and result blobs
-  beside the queue journal;
+  root>/service``), holding one result blob per finished job beside
+  the queue journal;
 * one :class:`~repro.service.dispatcher.Dispatcher` thread draining the
   queue.
 
@@ -22,14 +22,15 @@ is assembled from cache, no worker is touched, and
 ``repro_service_cache_hits_total`` records the short-circuit.  Likewise
 a resubmission of an already-completed job dedups onto the finished
 record.  Everything else queues, and ``job_status`` exposes live
-progress (updated per completed spec via the job's journal callback);
-given ``wait_s`` it long-polls, answering the moment the job settles.
+progress (the running job's ``completed`` is read off the engine's
+completion count); given ``wait_s`` it long-polls, answering the moment
+the job settles.
 
-Crash recovery composes from parts that already existed: the queue
-journal re-queues jobs that were running when the process died, the
-per-job :class:`~repro.service.dispatcher.JobJournal` pre-loads their
-completed set, and the result cache serves those specs as hits — so a
-SIGKILLed service, restarted, finishes exactly the work that remained.
+Crash recovery composes from two parts: the queue journal re-queues
+jobs that were running when the process died, and the result cache
+serves the specs they had finished as hits — so a SIGKILLed service,
+restarted, simulates exactly the work that remained.  A ``journals/``
+directory that an older build left in the state directory is ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro._version import package_version
 from repro.common.errors import ConfigError
@@ -46,7 +47,7 @@ from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.obs.metrics import MetricsRegistry, process_registry
 from repro.resilience.faults import get_injector
 from repro.resilience.storage import durable_replace
-from repro.service.dispatcher import Dispatcher, JobJournal
+from repro.service.dispatcher import Dispatcher
 from repro.service.jobs import Job, JobState
 from repro.service.queue import JobQueue
 from repro.service.rpc import (
@@ -152,6 +153,8 @@ class SweepService:
         self.queue = JobQueue(self.state_dir, **queue_kwargs)
         self.metrics = MetricsRegistry()
         self.dispatcher = Dispatcher(self, idle_poll_s=idle_poll_s)
+        # (job, engine.completed at its dispatch) while a job runs.
+        self._running: Optional[Tuple[Job, int]] = None
         self.started_at = time.time()
         if self.queue.requeued:
             self.metrics.inc("repro_service_jobs_requeued_total",
@@ -176,9 +179,6 @@ class SweepService:
         self.stop()
 
     # -- paths ---------------------------------------------------------------
-
-    def journal_path(self, job: Job) -> Path:
-        return self.state_dir / "journals" / f"{job.id}.jsonl"
 
     def result_path(self, job: Job) -> Path:
         return self.state_dir / "results" / f"{job.id}.json"
@@ -224,7 +224,7 @@ class SweepService:
             raise ServiceError("'wait_s' must be a non-negative number of "
                                "seconds", INVALID_PARAMS)
         job = self._job(job_id)
-        return self.queue.wait(job, min(wait_s, MAX_WAIT_S)).to_dict()
+        return self._status(self.queue.wait(job, min(wait_s, MAX_WAIT_S)))
 
     def job_result(self, job_id: str) -> Dict:
         """The completed matrix: one ``{spec, result}`` pair per spec, in
@@ -277,7 +277,7 @@ class SweepService:
                     f"(choose from {[s.value for s in JobState]})",
                     INVALID_PARAMS)
         jobs = self.queue.jobs(state=kind, limit=limit)
-        return {"jobs": [job.to_dict() for job in jobs]}
+        return {"jobs": [self._status(job) for job in jobs]}
 
     def health(self) -> Dict:
         return {
@@ -355,28 +355,26 @@ class SweepService:
         job = self.queue.pop_next()
         if job is None:
             return False
-        journal = JobJournal(self.journal_path(job),
-                             on_record=lambda digest: self._on_progress(job))
-        job.completed = len(journal)  # resumed completions show immediately
         hits_before = self.cache.hits
         executed_before = self.engine.executed
-        self.engine.journal = journal
+        completed_before = self.engine.completed
+        self._running = (job, completed_before)
         try:
             results = self.engine.run_many(job.specs)
         except Exception as exc:  # noqa: BLE001 — job-scoped failure
-            job.executed += self.engine.executed - executed_before
-            self.queue.finish(job, JobState.FAILED,
-                              error=f"{type(exc).__name__}: {exc}")
+            results, error = None, f"{type(exc).__name__}: {exc}"
+        job.completed = self.engine.completed - completed_before
+        self._running = None
+        self.metrics.inc("repro_service_specs_completed_total",
+                         job.completed)
+        executed = self.engine.executed - executed_before
+        job.executed += executed
+        if results is None:
+            self.queue.finish(job, JobState.FAILED, error=error)
             self.metrics.inc("repro_service_jobs_finished_total",
                              state=JobState.FAILED.value)
             return True
-        finally:
-            self.engine.journal = None
-            journal.close()
         job.cache_hits += self.cache.hits - hits_before
-        executed = self.engine.executed - executed_before
-        job.executed += executed
-        job.completed = job.total
         self._write_result_blob(job, [results[spec] for spec in job.specs])
         self.queue.finish(job, JobState.DONE)
         self.metrics.inc("repro_service_jobs_finished_total",
@@ -398,9 +396,16 @@ class SweepService:
             raise ServiceError(f"no such job {job_id!r}", NOT_FOUND)
         return job
 
-    def _on_progress(self, job: Job) -> None:
-        job.completed += 1
-        self.metrics.inc("repro_service_specs_completed_total")
+    def _status(self, job: Job) -> Dict:
+        """The job record; while the job runs, its ``completed`` is read
+        off the engine's completion count (written by the dispatcher
+        thread, so it is only read here, never stored)."""
+        record = job.to_dict()
+        running = self._running
+        if running is not None and running[0] is job:
+            record["completed"] = min(job.total,
+                                      self.engine.completed - running[1])
+        return record
 
     def _results_from_cache(self, job: Job) -> Optional[List[RunResult]]:
         results = []

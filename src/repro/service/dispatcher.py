@@ -8,41 +8,12 @@ pool, retry/degrade recovery), persist the result blob, journal the
 terminal state.  The loop parks on an event when the queue is empty and
 is woken by ``submit``, so dispatch latency is bounded by neither the
 poll interval nor a busy wait.
-
-Progress comes for free from PR 5's journal machinery:
-:class:`JobJournal` subclasses the fsynced
-:class:`~repro.resilience.journal.SweepJournal` the engine already
-writes per completed spec, and fires a callback on every *fresh*
-completion — the service uses it to update the job's ``completed``
-counter (visible through ``job_status`` long before the job finishes)
-and to bump ``repro_service_specs_completed_total``.  Because the
-journal is durable and idempotent, the same file doubles as the job's
-crash-resume record: a re-queued job reopens it, pre-loads the completed
-set, and the engine serves those specs from the result cache without
-recomputing them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
-
-from repro.resilience.journal import SweepJournal
-
-
-class JobJournal(SweepJournal):
-    """A sweep journal that reports fresh completions to the service."""
-
-    def __init__(self, path, on_record: Optional[Callable[[str], None]] = None):
-        self._on_record = None  # disarm during the base-class replay load
-        super().__init__(path)
-        self._on_record = on_record
-
-    def record(self, digest: str, payload: Optional[Dict] = None) -> bool:
-        fresh = super().record(digest, payload)
-        if fresh and self._on_record is not None:
-            self._on_record(digest)
-        return fresh
+from typing import Optional
 
 
 class Dispatcher:

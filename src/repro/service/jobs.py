@@ -5,8 +5,8 @@ recipes plus queueing metadata (priority, TTL, timestamps, progress).
 Its identity is the **job key**: the sha256 over the sorted set of spec
 digests (plus a schema version), so two clients submitting the same
 sweep — in any spec order — address the same job and share one
-execution.  The key doubles as the durable name for the job's artifacts
-(per-job sweep journal, result blob).
+execution.  The key doubles as the durable name for the job's result
+blob.
 
 Jobs move through a small state machine::
 
@@ -20,8 +20,8 @@ Only ``QUEUED`` jobs can be cancelled or expire: once the dispatcher
 picks a job up it runs to completion (the engine's own retry/degrade
 machinery decides how).  A crash while ``RUNNING`` is not a terminal
 state — on restart the queue replays the journal and re-queues the job,
-and the result cache plus the per-job sweep journal make the re-run skip
-every spec that already finished.
+and the result cache serves every spec that already finished, so the
+re-run simulates only the rest.
 """
 
 from __future__ import annotations

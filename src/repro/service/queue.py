@@ -1,10 +1,10 @@
 """The durable, dedup'ing job queue behind the sweep service.
 
 A JSONL event journal (``queue.jsonl`` under the service state
-directory) is the queue's single source of truth, written with the same
-flush+fsync discipline as :class:`~repro.resilience.journal.SweepJournal`
-— so a SIGKILL at any point loses at most one torn final line, which the
-loader tolerates.  Two event kinds:
+directory) is the queue's single source of truth, appended through the
+same fsync'd :class:`~repro.resilience.storage.JsonlLog` as the sweep
+journal — so a SIGKILL at any point loses at most one torn final line,
+which the loader skips.  Two event kinds:
 
 * ``{"event": "submit", "job": {...}}`` — a job record snapshot
   (creation, resubmission, and the compacted image written on load);
@@ -16,9 +16,8 @@ job table, then *compacted*: the live table is rewritten as one snapshot
 line per job via :func:`~repro.resilience.storage.durable_replace`, so
 the journal's size is bounded by the job count, not the event count.
 Jobs found ``RUNNING`` were in flight when the previous process died;
-they re-queue (``requeues`` incremented) and their re-run skips every
-spec the result cache already holds — PR 5's resume semantics, applied
-automatically.
+they re-queue (``requeues`` incremented) and their re-run serves every
+spec the result cache already holds as a hit, simulating only the rest.
 
 **Dedup.** Submission is content-addressed by
 :func:`~repro.service.jobs.job_key`: a second submission of the same
@@ -40,14 +39,13 @@ instead of on the client's next poll.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments._engine import RunSpec
-from repro.resilience.storage import durable_replace
+from repro.resilience.storage import JsonlLog, durable_replace
 from repro.service.jobs import (
     ACTIVE_STATES,
     DEFAULT_TTL_S,
@@ -80,7 +78,7 @@ class JobQueue:
         self._lock = threading.RLock()
         self._settled = threading.Condition(self._lock)
         self._released = False            # set by release_waiters()
-        self._fh = None
+        self._log = JsonlLog(self.path)
         self._seq = 0
         self.replayed = 0                 # jobs loaded from a prior process
         self.requeued = 0                 # RUNNING jobs re-queued on load
@@ -90,28 +88,15 @@ class JobQueue:
 
     def _load(self) -> None:
         """Replay the journal, re-queue in-flight jobs, compact."""
-        try:
-            fh = open(self.path, encoding="utf-8")
-        except OSError:
-            return
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue  # torn final line from a killed writer
-                self._replay_entry(entry)
+        for entry in self._log.read()[0]:
+            self._replay_entry(entry)
         self.replayed = len(self._jobs)
         for job in self._jobs.values():
             self._seq = max(self._seq, job.seq)
             if job.state is JobState.RUNNING:
                 # The previous process died mid-run: put the job back in
-                # line.  Finished specs are in the result cache (and the
-                # per-job sweep journal), so the re-run only simulates
-                # the remainder.
+                # line.  Finished specs are in the result cache, so the
+                # re-run only simulates the remainder.
                 job.state = JobState.QUEUED
                 job.started_at = None
                 job.requeues += 1
@@ -142,28 +127,15 @@ class JobQueue:
 
     def _compact(self) -> None:
         """Rewrite the journal as one snapshot line per live job."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()  # the append handle would outlive the rename
         lines = [json.dumps({"event": "submit", "job": job.to_dict()},
                             sort_keys=True)
                  for job in sorted(self._jobs.values(), key=lambda j: j.seq)]
         durable_replace(self.path, "".join(line + "\n" for line in lines))
 
-    def _append(self, entry: Dict) -> None:
-        """Durably append one event (flush + fsync, SweepJournal-style)."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._log.close()
 
     def __enter__(self) -> "JobQueue":
         return self
@@ -201,7 +173,7 @@ class JobQueue:
                 submitted_at=now,
             )
             self._jobs[key] = job
-            self._append({"event": "submit", "job": job.to_dict()})
+            self._log.append({"event": "submit", "job": job.to_dict()})
             return job, False
 
     # -- lookup --------------------------------------------------------------
@@ -254,8 +226,8 @@ class JobQueue:
             job = min(queued, key=lambda j: (-j.priority, j.seq))
             job.state = JobState.RUNNING
             job.started_at = now
-            self._append({"event": "state", "key": job.key,
-                          "state": job.state.value, "started_at": now})
+            self._log.append({"event": "state", "key": job.key,
+                              "state": job.state.value, "started_at": now})
             return job
 
     def finish(self, job: Job, state: JobState,
@@ -267,7 +239,7 @@ class JobQueue:
             job.state = state
             job.finished_at = now
             job.error = error
-            self._append({
+            self._log.append({
                 "event": "state", "key": job.key, "state": state.value,
                 "finished_at": now, "completed": job.completed,
                 "cache_hits": job.cache_hits, "executed": job.executed,
@@ -299,8 +271,8 @@ class JobQueue:
         """Record one TTL expiry (caller holds the lock)."""
         job.state = JobState.EXPIRED
         job.finished_at = now
-        self._append({"event": "state", "key": job.key,
-                      "state": job.state.value, "finished_at": now})
+        self._log.append({"event": "state", "key": job.key,
+                          "state": job.state.value, "finished_at": now})
         self._settled.notify_all()
 
     def _expire_due(self, now: float) -> List[Job]:

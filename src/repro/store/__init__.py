@@ -18,6 +18,10 @@ This package defines the one narrow interface the caches talk to
   front of any remote store, so workers keep serving (and spool their
   writes) while the coordinator is down and re-warm cheaply after.
 
+Both caches read through :class:`~repro.store.cache.BlobCache`, the one
+read → decode → quarantine → warn policy over a store namespace, which
+``repro doctor`` audits through too.
+
 Selection is by URL: ``file:///path`` (or a bare path) names an
 :class:`FsStore`, ``http://host:port`` an :class:`HttpStore`, and
 ``tiered+http://host:port?local=DIR`` a :class:`TieredStore`.

@@ -136,9 +136,15 @@ class BlobStore:
     def quarantine(self, key: str, reason: str) -> Optional[str]:
         """Retire a blob the caller judged corrupt; never deletes it.
 
-        Returns the name the blob was preserved under, or ``None`` if
-        it could not be moved (the original stays put — losing evidence
-        is worse than re-detecting corruption on the next read).
+        Returns one of:
+
+        * the name the blob was preserved under (it moved);
+        * ``""`` — the blob had already left its key when the move was
+          tried: another reader quarantined it first (two workers
+          judging one blob at once), or it was evicted.  Not a failure;
+        * ``None`` — the move failed and the blob is still at its key
+          (losing evidence is worse than re-detecting corruption on the
+          next read).
         """
         raise NotImplementedError
 

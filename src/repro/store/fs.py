@@ -10,7 +10,8 @@ Bit-compatibility is the point: an ``FsStore`` pointed at an existing
 
 with crash-atomic fsync'd writes
 (:func:`repro.resilience.storage.durable_replace`).  Beside each
-namespace root sit the evidence trails ``repro doctor`` reads:
+namespace root sit the evidence trails ``repro doctor`` reads, both
+:class:`~repro.resilience.storage.JsonlLog` files:
 ``quarantine/`` with its ``MANIFEST.jsonl`` (corrupt blobs move there,
 never deleted) and ``GC_MANIFEST.jsonl`` (each eviction, logged before
 the delete).  Any other namespace maps to ``<root>/<namespace>/``.
@@ -24,12 +25,11 @@ the layout audit never walk it.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.resilience.storage import durable_replace
+from repro.resilience.storage import JsonlLog, durable_replace
 from repro.store.base import (
     NAMESPACE_RESULTS,
     NAMESPACE_TRACES,
@@ -59,34 +59,6 @@ def default_trace_root(result_root: Optional[Path] = None) -> Path:
         return Path(env)
     root = result_root if result_root is not None else default_result_root()
     return Path(root) / "traces"
-
-
-def _append_jsonl(path: Path, entry: Dict) -> None:
-    """Durably append one manifest line (flushed and fsync'd)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _read_jsonl(path: Path) -> List[Dict]:
-    """Parsed manifest lines (empty when the manifest does not exist)."""
-    entries: List[Dict] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError:
-        return entries
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except ValueError:
-                continue  # torn tail from a crash mid-append
-    return entries
 
 
 class FsStore(BlobStore):
@@ -196,7 +168,11 @@ class FsStore(BlobStore):
     def _quarantine_path(self, namespace: str, path: Path,
                          reason: str) -> Optional[str]:
         """Move one file into the namespace's quarantine, recording
-        source, destination and reason in its manifest."""
+        source, destination and reason in its manifest.
+
+        A failed move whose source is gone means another process moved
+        (or evicted) the file first: ``""``, not a failure.
+        """
         qdir = self.namespace_root(namespace) / QUARANTINE_DIRNAME
         try:
             qdir.mkdir(parents=True, exist_ok=True)
@@ -207,11 +183,11 @@ class FsStore(BlobStore):
                 target = qdir / f"{path.name}.{suffix}"
             os.replace(path, target)
         except OSError:
-            return None
+            return None if os.path.lexists(path) else ""
         try:
-            _append_jsonl(qdir / QUARANTINE_MANIFEST,
-                          {"file": target.name, "from": str(path),
-                           "reason": reason, "pid": os.getpid()})
+            with JsonlLog(qdir / QUARANTINE_MANIFEST) as manifest:
+                manifest.append({"file": target.name, "from": str(path),
+                                 "reason": reason, "pid": os.getpid()})
         except OSError:
             pass  # the quarantined blob itself is the record of last resort
         return target.name
@@ -222,7 +198,7 @@ class FsStore(BlobStore):
                   if p.is_file() and p.name != QUARANTINE_MANIFEST]
                  if qdir.is_dir() else [])
         return {"files": files,
-                "manifest": _read_jsonl(qdir / QUARANTINE_MANIFEST)}
+                "manifest": JsonlLog(qdir / QUARANTINE_MANIFEST).read()[0]}
 
     def orphans(self, namespace: str) -> List[str]:
         nsroot = self.namespace_root(namespace)
@@ -252,18 +228,22 @@ class FsStore(BlobStore):
             problem = f"{path.name}: {MISFILED}"
             if fix:
                 moved = self._quarantine_path(namespace, path, MISFILED)
-                problem += (" -> quarantined" if moved
-                            else " (quarantine FAILED)")
+                problem += (" (quarantine FAILED)" if moved is None
+                            else " -> quarantined")
             problems.append(problem)
         return problems
 
     # -- garbage collection --------------------------------------------------
 
     def gc_log(self, namespace: str, entry: Dict) -> None:
-        _append_jsonl(self.namespace_root(namespace) / GC_MANIFEST_NAME, entry)
+        with self._gc_manifest(namespace) as manifest:
+            manifest.append(entry)
 
     def gc_manifest(self, namespace: str) -> List[Dict]:
-        return _read_jsonl(self.namespace_root(namespace) / GC_MANIFEST_NAME)
+        return self._gc_manifest(namespace).read()[0]
+
+    def _gc_manifest(self, namespace: str) -> JsonlLog:
+        return JsonlLog(self.namespace_root(namespace) / GC_MANIFEST_NAME)
 
     # -- identity ------------------------------------------------------------
 

@@ -17,17 +17,19 @@ The remote leg is hardened for coordinator flaps (docs/distributed.md):
 * every round trip runs under a seeded
   :class:`~repro.resilience.retry.RetryPolicy` — transport failures
   (socket errors, timeouts, 5xx) retry with deterministic jittered
-  exponential backoff; HTTP *answers* below 500 (404 included) never
+  exponential backoff (:data:`DEFAULT_STORE_RETRIES` retries from a
+  :data:`DEFAULT_STORE_BACKOFF_S` base, jitter seeded by
+  ``$REPRO_RETRY_SEED``); HTTP *answers* below 500 (404 included) never
   retry, they are semantics, not weather;
 * the per-request timeout is configurable: an explicit ``timeout_s``
   beats a ``?timeout=SECONDS`` URL query, which beats
   ``$REPRO_STORE_TIMEOUT``, which beats the 60 s default;
 * a trip-open/half-open **circuit breaker** guards the endpoint: after
-  ``$REPRO_STORE_BREAKER_THRESHOLD`` (default 3) consecutive transport
-  failures the store goes *degraded* — calls fail fast with
+  :data:`DEFAULT_BREAKER_THRESHOLD` consecutive transport failures the
+  store goes *degraded* — calls fail fast with
   :class:`StoreUnavailableError` instead of burning a timeout each —
-  until a cooldown (``$REPRO_STORE_BREAKER_COOLDOWN``, default 5 s)
-  admits one half-open probe.  Degradation is counted, never silent:
+  until a :data:`DEFAULT_BREAKER_COOLDOWN_S` cooldown admits one
+  half-open probe.  Degradation is counted, never silent:
   ``repro_store_retry_total{op,outcome}`` and
   ``repro_store_degraded_seconds_total`` land in the process metrics
   registry (exported by the service ``/metrics`` endpoint), and every
@@ -64,6 +66,12 @@ from repro.store.base import BlobStat, BlobStore, StoreError, validate_key
 #: Fallback per-request timeout when nothing else names one.
 DEFAULT_TIMEOUT_S = 60.0
 
+#: Retries after a failed attempt (so 3 attempts per operation).
+DEFAULT_STORE_RETRIES = 2
+
+#: The first retry's backoff, doubling per retry.
+DEFAULT_STORE_BACKOFF_S = 0.05
+
 #: Consecutive transport failures before the breaker trips open.
 DEFAULT_BREAKER_THRESHOLD = 3
 
@@ -93,15 +101,12 @@ def default_store_timeout() -> float:
 def default_store_retry() -> RetryPolicy:
     """The remote-leg retry policy (seeded so backoffs are replayable).
 
-    ``$REPRO_STORE_RETRIES`` bounds attempts (default 2 retries, i.e.
-    3 attempts), ``$REPRO_STORE_BACKOFF_BASE`` scales the first sleep,
-    and ``$REPRO_RETRY_SEED`` seeds the jitter — the same seed the
-    engine's policy uses, so one knob makes a whole chaos run
-    deterministic.
+    ``$REPRO_RETRY_SEED`` seeds the jitter — the same seed the engine's
+    policy uses, so one knob makes a whole chaos run deterministic.
     """
     return RetryPolicy(
-        max_retries=max(0, int(_env_float("REPRO_STORE_RETRIES", 2))),
-        backoff_base_s=max(0.0, _env_float("REPRO_STORE_BACKOFF_BASE", 0.05)),
+        max_retries=DEFAULT_STORE_RETRIES,
+        backoff_base_s=DEFAULT_STORE_BACKOFF_S,
         seed=int(_env_float("REPRO_RETRY_SEED", 0)),
     )
 
@@ -128,12 +133,10 @@ class _Breaker:
     def __init__(self, url: str, threshold: Optional[int] = None,
                  cooldown_s: Optional[float] = None):
         self.url = url
-        self.threshold = (int(_env_float("REPRO_STORE_BREAKER_THRESHOLD",
-                                         DEFAULT_BREAKER_THRESHOLD))
-                          if threshold is None else threshold)
-        self.cooldown_s = (_env_float("REPRO_STORE_BREAKER_COOLDOWN",
-                                      DEFAULT_BREAKER_COOLDOWN_S)
-                           if cooldown_s is None else cooldown_s)
+        self.threshold = (DEFAULT_BREAKER_THRESHOLD if threshold is None
+                          else threshold)
+        self.cooldown_s = (DEFAULT_BREAKER_COOLDOWN_S if cooldown_s is None
+                           else cooldown_s)
         self.state = self.CLOSED
         self.failures = 0          # consecutive transport failures
         self.trips = 0

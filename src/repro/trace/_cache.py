@@ -17,14 +17,15 @@ generators.  The cache shares the result cache's pluggable blob store
   under the result-cache root.  On a local store, reads keep the
   zero-copy mmap fast path; on an ``HttpStore`` the packed bytes are
   fetched and parsed in memory, so a fleet shares one warm trace cache.
-* **Degradation.** A corrupt or truncated blob is a miss: it is
-  quarantined through the store (with the parse error recorded through
-  :mod:`repro.resilience.log`, so rebuild storms are visible in the obs
+* **Degradation.** A corrupt or truncated blob is a miss: the shared
+  read policy of :class:`~repro.store.cache.BlobCache` quarantines it
+  through the store and records the damage through
+  :mod:`repro.resilience.log` (so rebuild storms are visible in the obs
   counters), then the trace is rebuilt from the generators and the
   entry rewritten (atomically and durably, so concurrent builders and
   mid-write kills never produce torn files).
 * **Switch.** ``REPRO_CACHE=0`` disables it along with the result
-  cache (:func:`cache_enabled`).
+  cache (:func:`~repro.store.cache.cache_enabled`).
 * **Packed traces only.** Batch execution's derived columns are
   memoized on the trace object (:func:`repro.trace.derived.derived_for`),
   not stored.  ``.drv`` sidecars that older builds wrote beside the
@@ -35,21 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Optional
 
-from repro.common.errors import SimulationError
-from repro.resilience.faults import SITE_TRACE_CORRUPT, get_injector
-from repro.resilience.log import warn as resilience_warn
-from repro.store import NAMESPACE_TRACES, BlobStore, get_store
+from repro.resilience.faults import SITE_TRACE_CORRUPT
+from repro.store import NAMESPACE_TRACES, BlobStore
+from repro.store.cache import BlobCache
 from repro.trace.packed import FORMAT_VERSION, PackedTrace
 from repro.trace.workloads import build_streams
-
-
-def cache_enabled() -> bool:
-    """``REPRO_CACHE``: the one switch of the result and trace caches."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
 def trace_digest(workload: str, cores: int, per_core: int, seed: int) -> str:
@@ -64,74 +58,41 @@ def trace_digest(workload: str, cores: int, per_core: int, seed: int) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class TraceCache:
-    """Mirror of the engine's ``ResultCache``, holding packed binaries."""
+class TraceCache(BlobCache):
+    """The packed-trace namespace of the blob store.
+
+    Reads mmap the local blob when the store has one (``by_path``) and
+    parse fetched bytes otherwise; ``built`` counts generator rebuilds.
+    """
+
+    namespace = NAMESPACE_TRACES
+    suffix = ".bin"
+    kind = "trace"
+    event = "trace-cache-corrupt"
+    message = "unreadable packed trace {key}; rebuilding"
+    fault_site = SITE_TRACE_CORRUPT
+    by_path = True
 
     def __init__(self, *, enabled: Optional[bool] = None,
                  store: Optional[BlobStore] = None):
-        self._store = store
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.hits = 0
-        self.misses = 0
+        super().__init__(enabled=enabled, store=store)
         self.built = 0
-        self.quarantined = 0
-
-    @property
-    def store(self) -> BlobStore:
-        """The backend in effect (pinned at construction, else the
-        process-wide :func:`repro.store.get_store` resolved per use)."""
-        return self._store if self._store is not None else get_store()
 
     @staticmethod
     def key_for(workload: str, cores: int, per_core: int, seed: int) -> str:
         digest = trace_digest(workload, cores, per_core, seed)
         return f"{NAMESPACE_TRACES}/{digest}.bin"
 
-    def path_for(self, workload: str, cores: int, per_core: int,
-                 seed: int) -> Optional[Path]:
-        """Local blob path (``None`` on a remote store)."""
-        return self.store.local_path(
-            self.key_for(workload, cores, per_core, seed))
+    @staticmethod
+    def decode(src) -> PackedTrace:
+        if isinstance(src, Path):
+            return PackedTrace.load(src)  # zero-copy mmap off the tree
+        return PackedTrace.loads(src)
 
     def get(self, workload: str, cores: int, per_core: int,
             seed: int) -> Optional[PackedTrace]:
-        if not self.enabled:
-            return None
-        store = self.store
-        key = self.key_for(workload, cores, per_core, seed)
-        path = store.local_path(key)
-        injector = get_injector()
-        if injector is not None and path is not None:
-            injector.maybe_corrupt(SITE_TRACE_CORRUPT, path)
-        try:
-            if path is not None:
-                # Local store: zero-copy mmap straight off the tree.
-                trace = PackedTrace.load(path)
-            else:
-                raw = store.get(key)
-                if raw is None:
-                    self.misses += 1
-                    return None
-                trace = PackedTrace.loads(raw)
-        except OSError:
-            # Absent: a plain miss (the build writes it).
-            self.misses += 1
-            return None
-        except (SimulationError, ValueError) as exc:
-            # Corrupt or truncated: quarantine the evidence and surface
-            # the rebuild through repro.obs — a silent rebuild storm
-            # must not look like a healthy cache.
-            self.quarantined += 1
-            quarantined = store.quarantine(key, f"{type(exc).__name__}: {exc}")
-            resilience_warn(
-                "trace-cache-corrupt",
-                f"unreadable packed trace {key}; rebuilding",
-                cache="trace", workload=workload, error=str(exc),
-                quarantined=quarantined if quarantined else "FAILED")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return trace
+        return self.read(self.key_for(workload, cores, per_core, seed),
+                         workload=workload)
 
     def put(self, trace: PackedTrace, workload: str, cores: int,
             per_core: int, seed: int) -> None:

@@ -220,21 +220,3 @@ class PackedTrace:
             if min(s) <= 0 or min(t) < 0:
                 raise SimulationError("packed trace: invalid size/think")
 
-
-def verify_file(path) -> Tuple[bool, str]:
-    """Integrity-check one on-disk packed trace without keeping it.
-
-    A full parse — header, count table, size accounting, and the
-    columnar value invariants — so ``repro doctor`` can audit a trace
-    cache with the same strictness the simulator's load path applies.
-    Returns ``(ok, reason)``.
-    """
-    try:
-        PackedTrace.load(path)
-    except SimulationError as exc:
-        return False, str(exc)
-    except OSError as exc:
-        return False, f"unreadable: {exc}"
-    except ValueError as exc:
-        return False, f"malformed: {exc}"
-    return True, "ok"

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.metrics import (HistogramData, MetricsRegistry, _KEY_CACHE,
-                               _KEY_CACHE_MAX, parse_series_key, series_key)
+from repro.obs.metrics import (HistogramData, MetricsRegistry,
+                               parse_series_key, series_key)
 
 
 class TestSeriesKey:
@@ -45,11 +45,6 @@ class TestSeriesKeyEscaping:
             parse_series_key("m{unterminated")
         with pytest.raises(ValueError):
             parse_series_key("m{novalue}")
-
-    def test_key_cache_is_bounded(self):
-        for i in range(_KEY_CACHE_MAX + 64):
-            series_key("m", {"i": i})
-        assert len(_KEY_CACHE) <= _KEY_CACHE_MAX
 
     def test_unhashable_label_values_skip_the_cache(self):
         key = series_key("m", {"a": [1, 2]})

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.resilience.storage import durable_replace
+from repro.resilience.storage import JsonlLog, durable_replace
 from repro.store import FsStore
 from repro.store.fs import QUARANTINE_DIRNAME, QUARANTINE_MANIFEST
 
@@ -74,8 +74,17 @@ class TestQuarantine:
             assert store.quarantine(self.KEY, "again") == expected
         assert len(store.quarantine_inventory("results")["manifest"]) == 3
 
-    def test_missing_blob_returns_none(self, tmp_path):
-        assert FsStore(tmp_path).quarantine(self.KEY, "?") is None
+    def test_missing_blob_is_already_gone(self, tmp_path):
+        """No blob at the key (another reader moved it first, or it was
+        evicted): ``""``, which no caller treats as a failed move."""
+        assert FsStore(tmp_path).quarantine(self.KEY, "?") == ""
+
+    def test_failed_move_leaves_blob_and_returns_none(self, tmp_path):
+        store = FsStore(tmp_path / "cache")
+        store.put(self.KEY, b"bad")
+        (tmp_path / "cache" / QUARANTINE_DIRNAME).write_bytes(b"in the way")
+        assert store.quarantine(self.KEY, "?") is None
+        assert store.get(self.KEY) == b"bad"  # still at its key
 
     def test_manifest_tolerates_torn_final_line(self, tmp_path):
         store = FsStore(tmp_path / "cache")
@@ -90,3 +99,42 @@ class TestQuarantine:
     def test_no_manifest_means_empty(self, tmp_path):
         assert FsStore(tmp_path / "nowhere").quarantine_inventory(
             "results") == {"files": [], "manifest": []}
+
+
+class TestJsonlLog:
+    """The one append and reader behind the sweep journal, the service
+    queue and the store's manifests."""
+
+    def test_append_writes_sorted_key_lines(self, tmp_path):
+        path = tmp_path / "deep" / "log.jsonl"
+        with JsonlLog(path) as log:
+            log.append({"b": 2, "a": 1})
+            log.append({"z": [1]})
+        assert path.read_text() == '{"a": 1, "b": 2}\n{"z": [1]}\n'
+
+    def test_torn_undecodable_lines_and_offset_resume(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        writer = JsonlLog(path)
+        writer.append({"n": 1})
+        with open(path, "ab") as fh:
+            fh.write(b"\xde\xad not json\n[1, 2]\n")  # damage: skipped
+        writer.append({"n": 2})
+        reader = JsonlLog(path)
+        entries, offset = reader.read()
+        assert entries == [{"n": 1}, {"n": 2}]
+        assert offset == path.stat().st_size
+
+        # A concurrent writer is mid-append: the torn line stays unread.
+        with open(path, "ab") as fh:
+            fh.write(b'{"n": 3')
+        assert reader.read(offset) == ([], offset)
+        with open(path, "ab") as fh:
+            fh.write(b'}\n')  # ... and finishes it
+        writer.append({"n": 4})
+        entries, end = reader.read(offset)
+        assert entries == [{"n": 3}, {"n": 4}]
+        assert reader.read(end) == ([], end)
+        writer.close()
+
+    def test_missing_file_reads_empty(self, tmp_path):
+        assert JsonlLog(tmp_path / "absent.jsonl").read(7) == ([], 7)

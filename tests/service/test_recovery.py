@@ -1,10 +1,12 @@
 """Crash recovery: a killed service finishes exactly the remaining work.
 
 Two layers: a deterministic in-process reconstruction of the crash
-(queue closed with a job RUNNING, part of the sweep already journaled
-and cached), and a real SIGKILL of a live service subprocess mid-job.
+(queue closed with a job RUNNING, part of the sweep already in the
+result cache), and a real SIGKILL of a live service subprocess mid-job.
+The result cache alone carries a job's finished specs across the crash.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -19,7 +21,6 @@ import repro
 from repro.common.params import ProtocolKind
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.service.app import SweepService
-from repro.service.dispatcher import JobJournal
 from repro.service.jobs import JobState
 from repro.service.queue import JobQueue
 from repro.store import FsStore
@@ -43,19 +44,23 @@ class TestInProcessRecovery:
         state = tmp_path / "state"
         cache_root = tmp_path / "cache"
 
-        # A prior process claimed the job, finished 2 of 6 specs (journal
-        # + result cache both have them), then died without a terminal
-        # state transition.
+        # A prior process claimed the job, finished 2 of 6 specs (the
+        # result cache has them), then died without a terminal state
+        # transition.  Older services also left a per-job journal under
+        # journals/; a restart ignores it.
         with JobQueue(state) as queue:
             job, _ = queue.submit(SPECS)
             queue.pop_next()
-        journal = JobJournal(state / "journals" / f"{job.id}.jsonl")
         with ExperimentEngine(jobs=1, cache=ResultCache(
-                store=FsStore(cache_root), enabled=True),
-                              journal=journal) as engine:
+                store=FsStore(cache_root), enabled=True)) as engine:
             for spec in SPECS[:2]:
                 engine.run(spec)
-        journal.close()
+        old_journal = state / "journals" / f"{job.id}.jsonl"
+        old_journal.parent.mkdir()
+        old_journal.write_text("".join(
+            json.dumps({"digest": spec.digest(), "spec": spec.payload()},
+                       sort_keys=True) + "\n" for spec in SPECS[:2]))
+        journaled = old_journal.read_bytes()
 
         # Restart: the queue journal re-queues the in-flight job ...
         engine = ExperimentEngine(jobs=1, cache=ResultCache(
@@ -74,11 +79,12 @@ class TestInProcessRecovery:
             assert back.state is JobState.DONE
             assert back.completed == len(SPECS)
             assert back.executed == len(SPECS) - 2
-            assert back.cache_hits >= 2
+            assert back.cache_hits == 2
 
             payload = service.job_result(job.id)
         finally:
             service.stop()
+        assert old_journal.read_bytes() == journaled  # never read or written
 
         reference = reference_results(tmp_path)
         assert ({cell["spec"]["seed"]: cell["result"]
@@ -171,19 +177,16 @@ class TestSigkillRecovery:
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         env.pop("REPRO_FAULTS", None)
         child = subprocess.Popen([sys.executable, "-c", script], env=env)
-        journals = state / "journals"
         try:
-            # Wait for some — but not all — spec completions, then kill.
+            # Wait for some — but not all — results to land in the
+            # result cache, then kill.
             deadline = time.time() + 60
             while time.time() < deadline:
-                files = list(journals.glob("*.jsonl")) if journals.is_dir() \
-                    else []
-                done = sum(len(f.read_text().splitlines()) for f in files)
-                if done >= 2:
+                if len(list(cache_root.glob("??/*.json"))) >= 2:
                     break
                 time.sleep(0.02)
             else:
-                pytest.fail("service child never journaled a completion")
+                pytest.fail("service child never cached a result")
             child.kill()  # SIGKILL: no flush, no atexit, no cleanup
             child.wait(timeout=30)
         finally:

@@ -195,9 +195,11 @@ class TestQuarantine:
         assert any("does not parse" in entry.get("reason", "")
                    for entry in inventory["manifest"])
 
-    def test_quarantine_absent_blob_is_none(self, tmp_path):
+    def test_quarantine_absent_blob_is_already_gone(self, tmp_path):
         store = FsStore(tmp_path)
-        assert store.quarantine(f"results/{DIGEST}.json", "gone") is None
+        assert store.quarantine(f"results/{DIGEST}.json", "gone") == ""
+        assert store.quarantine_inventory(NAMESPACE_RESULTS) == {
+            "files": [], "manifest": []}
 
 
 class TestOrphans:
