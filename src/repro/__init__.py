@@ -7,6 +7,9 @@ synthetic workload suite, statistics, and experiment harnesses that
 regenerate every table and figure of the paper's evaluation.
 
 The supported import surface is :mod:`repro.api`, re-exported here.
+Each name (and ``__version__``) is bound on first access, so importing
+a submodule such as ``repro.experiments.report`` loads only the layers
+it runs, not the service, the remote stores or package metadata.
 
 Quickstart::
 
@@ -17,57 +20,7 @@ Quickstart::
     print(mesi.mpki(), mw.mpki())  # Protozoa-MW eliminates the false sharing
 """
 
-from repro.api import (
-    PROTOCOL_NAMES,
-    BlobStore,
-    CacheGeometry,
-    ConfigError,
-    ExperimentEngine,
-    FaultPlan,
-    FsStore,
-    HttpStore,
-    InvariantViolation,
-    LeaseBoard,
-    L1Organization,
-    L2Config,
-    MemAccess,
-    NetworkConfig,
-    ObsConfig,
-    Observability,
-    PredictorKind,
-    ProtocolError,
-    ProtocolKind,
-    ReproError,
-    ResultCache,
-    RetryPolicy,
-    RunResult,
-    RunSpec,
-    ServiceClient,
-    SimulationError,
-    StoreError,
-    SweepJournal,
-    SweepService,
-    SystemConfig,
-    TraceProfile,
-    WORKLOADS,
-    build_machine,
-    build_streams,
-    configure_store,
-    get_store,
-    get_workload,
-    load_trace,
-    parse_protocol,
-    profile_streams,
-    run,
-    save_trace,
-    serve,
-    simulate,
-    sweep,
-)
-
-from repro._version import package_version
-
-__version__ = package_version()
+from repro._lazy import lazy_names
 
 __all__ = [
     "BlobStore",
@@ -117,3 +70,15 @@ __all__ = [
     "sweep",
     "__version__",
 ]
+
+_api_getattr, __dir__ = lazy_names(__name__, globals(),
+                                   dict.fromkeys(__all__, "repro.api"))
+
+
+def __getattr__(name: str) -> object:
+    if name == "__version__":
+        from repro._version import package_version
+
+        version = globals()["__version__"] = package_version()
+        return version
+    return _api_getattr(name)

@@ -51,6 +51,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
+from repro._lazy import lazy_names
 from repro.common.errors import (
     ConfigError,
     InvariantViolation,
@@ -71,23 +72,26 @@ from repro.common.params import (
 )
 from repro.experiments._engine import ExperimentEngine, ResultCache, RunSpec
 from repro.obs import ObsConfig, Observability
-from repro.resilience import FaultPlan, LeaseBoard, RetryPolicy, SweepJournal
-from repro.service.app import SweepService, serve
-from repro.service.client import ServiceClient
-from repro.store import (
-    BlobStore,
-    FsStore,
-    HttpStore,
-    StoreError,
-    configure_store,
-    get_store,
-)
+from repro.resilience import FaultPlan, RetryPolicy
+from repro.store import BlobStore, FsStore, StoreError, configure_store, get_store
 from repro.system.machine import build_protocol, simulate
 from repro.system.results import RunResult
-from repro.trace.analysis import TraceProfile, profile_streams
 from repro.trace.events import MemAccess
-from repro.trace.io import read_trace, write_trace
 from repro.trace.workloads import WORKLOADS, build_streams, get_workload
+
+# The service, the remote store, multi-host leasing and trace profiling
+# are bound on first access: a script that only runs and sweeps never
+# compiles them (nor http.client and ssl, which the remote store needs).
+__getattr__, __dir__ = lazy_names(__name__, globals(), {
+    "HttpStore": "repro.store.http",
+    "LeaseBoard": "repro.resilience.lease",
+    "ServiceClient": "repro.service.client",
+    "SweepJournal": "repro.resilience.journal",
+    "SweepService": "repro.service.app",
+    "TraceProfile": "repro.trace.analysis",
+    "profile_streams": "repro.trace.analysis",
+    "serve": "repro.service.app",
+})
 
 
 def build_machine(config: Optional[SystemConfig] = None,
@@ -203,12 +207,16 @@ def sweep(specs: Iterable[RunSpec],
 
 def load_trace(path: Union[str, Path]):
     """Per-core ``MemAccess`` streams from a trace file (see docs)."""
+    from repro.trace.io import read_trace
+
     with open(path, "r", encoding="utf-8") as fh:
         return read_trace(fh)
 
 
 def save_trace(streams, path: Union[str, Path]) -> int:
     """Write per-core streams to a replayable trace file; returns #records."""
+    from repro.trace.io import write_trace
+
     with open(path, "w", encoding="utf-8") as fh:
         return write_trace(streams, fh)
 

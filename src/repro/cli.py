@@ -50,18 +50,56 @@ from repro.common.params import (
     PredictorKind,
     ProtocolKind,
     SystemConfig,
+    parse_protocol,
 )
-from repro.system.machine import simulate
-from repro.trace.workloads import WORKLOADS, build_streams
 
 
 def _protocol(name: str) -> ProtocolKind:
-    from repro.api import parse_protocol
-
     try:
         return parse_protocol(name)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+class _WorkloadNames:
+    """``--workload`` choices, read from the registry when a command
+    parses or prints them: ``--version``, ``--help`` and the service
+    commands never import the workload layer."""
+
+    def __init__(self, *extra: str):
+        self.extra = extra
+
+    def __iter__(self):
+        from repro.trace.workloads import WORKLOADS
+
+        return iter(self.extra + tuple(sorted(WORKLOADS)))
+
+    def __contains__(self, name) -> bool:
+        from repro.trace.workloads import WORKLOADS
+
+        return name in self.extra or name in WORKLOADS
+
+
+def _add_workload_arg(parser: argparse.ArgumentParser, *extra: str,
+                      **kwargs) -> None:
+    # Set after add_argument, whose metavar check iterates the choices.
+    parser.add_argument("--workload", **kwargs).choices = \
+        _WorkloadNames(*extra)
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, reading the package metadata only when asked."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro._version import package_version
+
+        print(f"repro {package_version()}")
+        parser.exit()
 
 
 def _config(args, protocol: ProtocolKind) -> SystemConfig:
@@ -165,6 +203,8 @@ def _print_summary(result) -> None:
 
 
 def cmd_list(args) -> int:
+    from repro.trace.workloads import WORKLOADS
+
     print(f"{'name':>18} {'suite':>10} {'paper-opt':>9} {'paper-USED%':>11} "
           f"{'false-sharing':>13}")
     for name in sorted(WORKLOADS):
@@ -176,6 +216,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.system.machine import simulate
     from repro.trace._cache import packed_streams
 
     _apply_common(args)
@@ -202,6 +243,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.system.machine import simulate
+    from repro.trace.workloads import build_streams
+
     print(f"{args.workload}: {args.cores} cores x {args.scale} accesses\n")
     print(f"{'protocol':>9} {'mpki':>8} {'traffic(B)':>11} {'used%':>7} "
           f"{'flit-hops':>10} {'exec':>10}")
@@ -378,6 +422,7 @@ def _replay_counterexample(path: str) -> int:
 
 def cmd_inspect(args) -> int:
     from repro.trace.analysis import profile_workload
+    from repro.trace.workloads import WORKLOADS
 
     print(f"{'workload':>18} {'wr%':>5} {'regions':>8} {'density':>8} "
           f"{'private':>8} {'rd-shr':>7} {'true-shr':>9} {'false-shr':>10}")
@@ -395,6 +440,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.trace.io import write_trace
+    from repro.trace.workloads import build_streams
 
     streams = build_streams(args.workload, cores=args.cores,
                             per_core=args.scale, seed=args.seed)
@@ -405,6 +451,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from repro.system.machine import simulate
     from repro.trace.io import read_trace
 
     with open(args.trace) as fh:
@@ -424,6 +471,7 @@ def cmd_events(args) -> int:
 
     from repro.obs import ObsConfig
     from repro.obs.events import summarize_jsonl
+    from repro.system.machine import simulate
     from repro.trace._cache import packed_streams
 
     if args.input:
@@ -647,15 +695,12 @@ def cmd_jobs(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro._version import package_version
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Protozoa: adaptive granularity cache coherence (ISCA'13) "
                     "— reproduction toolkit",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"repro {package_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="list bundled workloads",
@@ -664,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one workload/protocol",
                        parents=[_common_parent()])
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    _add_workload_arg(p, required=True)
     p.add_argument("--profile", action="store_true",
                    help="run under cProfile and print the top-20 functions "
                         "by cumulative time")
@@ -673,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="one workload under all protocols",
                        parents=[_common_parent()])
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    _add_workload_arg(p, required=True)
     _add_machine_args(p)
     p.set_defaults(fn=cmd_compare)
 
@@ -735,13 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="profile workloads' sharing/locality",
                        parents=[_common_parent()])
-    p.add_argument("--workload", default="", choices=[""] + sorted(WORKLOADS))
+    _add_workload_arg(p, "", default="")
     _add_machine_args(p)
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("trace", help="dump a workload trace to a file",
                        parents=[_common_parent()])
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    _add_workload_arg(p, required=True)
     p.add_argument("--out", required=True)
     _add_machine_args(p)
     p.set_defaults(fn=cmd_trace)
@@ -871,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace per-transaction coherence events and "
                             "dump/filter/summarize them",
                        parents=[_common_parent()])
-    p.add_argument("--workload", default="kmeans", choices=sorted(WORKLOADS))
+    _add_workload_arg(p, default="kmeans")
     p.add_argument("--ring", type=int, default=4096,
                    help="event ring-buffer capacity (default 4096; oldest "
                         "events are overwritten beyond it)")

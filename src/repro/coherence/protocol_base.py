@@ -788,19 +788,19 @@ class CoherenceProtocol:
 
     def snapshot_state(self):
         """Capture the complete mutable protocol state (BFS backtracking)."""
-        from repro.coherence.snapshot import snapshot
+        from repro.coherence import snapshot
 
         return snapshot(self)
 
     def restore_state(self, snap) -> None:
         """Rewind to a state captured by :meth:`snapshot_state`."""
-        from repro.coherence.snapshot import restore
+        from repro.coherence import restore
 
         restore(self, snap)
 
     def canonical_key(self) -> tuple:
         """Hashable abstract-state key; equal keys behave identically."""
-        from repro.coherence.snapshot import canonical_key
+        from repro.coherence import canonical_key
 
         return canonical_key(self)
 

@@ -25,9 +25,9 @@ content-addressed by the full run recipe:
 The fan-out path is built so pool overhead stays off the hot path:
 
 * the **pool is created once per engine** and reused across every
-  ``run_many()`` call; its initializer pre-imports the simulation stack
-  and pins the trace-cache directory, so workers pay import cost once,
-  not per task;
+  ``run_many()`` call; workers fork with this module's imports, which
+  cover everything a task runs, so no worker compiles a module, and
+  the initializer pins the trace-cache directory;
 * specs are submitted in **chunks** so task IPC amortizes over several
   simulations;
 * workers replay **packed traces** from the content-addressed trace
@@ -59,13 +59,11 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.common.params import ProtocolKind, SystemConfig
 from repro.obs.metrics import MetricsRegistry, process_registry
 from repro.resilience.faults import SITE_CACHE_CORRUPT, get_injector
-from repro.resilience.journal import SweepJournal
-from repro.resilience.lease import LeaseBoard
 from repro.resilience.log import warn as resilience_warn
 from repro.resilience.retry import RetryPolicy
 from repro.store import NAMESPACE_RESULTS
@@ -74,6 +72,16 @@ from repro.store.fs import default_trace_root
 from repro.system.machine import simulate
 from repro.system.results import RunResult
 from repro.trace._cache import packed_streams
+
+# Pool workers fork from this module's image, so it loads everything a
+# chunk runs -- the batch loop too, which the simulator imports on first
+# use -- and no worker compiles a module.
+import repro.system.batch  # noqa: F401
+
+if TYPE_CHECKING:
+    # Only a journaled or shared sweep passes these in.
+    from repro.resilience.journal import SweepJournal
+    from repro.resilience.lease import LeaseBoard
 
 #: Bump whenever simulation behaviour or the serialized result layout
 #: changes: every previously cached entry becomes unreachable.
@@ -148,13 +156,14 @@ def _serialize_result(result: RunResult) -> str:
 
 def _pool_init(trace_dir: str, store_env: str = "",
                store_timeout_env: str = "") -> None:
-    """Worker initializer: pin the trace cache, pre-import the machine.
+    """Worker initializer: pin the trace cache and the blob store.
 
     Runs once per worker process (not per task), so spawn-started pools
     agree with the parent on trace-cache location, blob-store choice
     (``REPRO_STORE``, set by ``--store``) and the remote-store timeout
-    (``REPRO_STORE_TIMEOUT``), and every heavy import is paid before the
-    first task arrives.
+    (``REPRO_STORE_TIMEOUT``).  The worker already holds every module a
+    task runs: this module's imports, forked from the parent or, under
+    spawn, run once to find this function.
     """
     if trace_dir:
         os.environ["REPRO_TRACE_CACHE_DIR"] = trace_dir
@@ -162,7 +171,6 @@ def _pool_init(trace_dir: str, store_env: str = "",
         os.environ["REPRO_STORE"] = store_env
     if store_timeout_env:
         os.environ["REPRO_STORE_TIMEOUT"] = store_timeout_env
-    import repro.system.machine  # noqa: F401
 
 
 def _worker_run_chunk(payloads: List[Dict]) -> List[str]:

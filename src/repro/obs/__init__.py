@@ -30,11 +30,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.obs.events import EventTrace
+from repro._lazy import lazy_names
 from repro.obs.metrics import HistogramData, MetricsRegistry, record_run_metrics
 from repro.obs.timers import PhaseTimers
+
+if TYPE_CHECKING:
+    from repro.obs.events import EventTrace
+
+# The event trace is imported only where a ring is built.
+__getattr__, __dir__ = lazy_names(__name__, globals(),
+                                  {"EventTrace": "repro.obs.events"})
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -72,10 +79,11 @@ class Observability:
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config if config is not None else ObsConfig.from_env()
         enabled = self.config.enabled
-        self.events: Optional[EventTrace] = (
-            EventTrace(capacity=self.config.ring_size)
-            if enabled and self.config.events else None
-        )
+        self.events: Optional[EventTrace] = None
+        if enabled and self.config.events:
+            from repro.obs.events import EventTrace
+
+            self.events = EventTrace(capacity=self.config.ring_size)
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if enabled else None)
         self.timers: Optional[PhaseTimers] = (

@@ -31,8 +31,12 @@ Every counter the machinery bumps lands in the process-wide
 :func:`repro.obs.metrics.process_registry` or the engine's own
 ``MetricsRegistry``, so retries, rebuilds, degradations, and quarantines
 are all visible through the existing observability surface.
+
+:class:`SweepJournal` and the lease names are bound on first access:
+only a journaled or shared sweep runs them.
 """
 
+from repro._lazy import lazy_names
 from repro.resilience.faults import (
     SITE_CACHE_CORRUPT,
     SITE_TASK_STALL,
@@ -47,10 +51,15 @@ from repro.resilience.faults import (
     get_injector,
     reset_injector,
 )
-from repro.resilience.journal import SweepJournal
-from repro.resilience.lease import LeaseBoard, default_lease_ttl, lease_dir_for
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.storage import durable_replace
+
+__getattr__, __dir__ = lazy_names(__name__, globals(), {
+    "LeaseBoard": "repro.resilience.lease",
+    "SweepJournal": "repro.resilience.journal",
+    "default_lease_ttl": "repro.resilience.lease",
+    "lease_dir_for": "repro.resilience.lease",
+})
 
 __all__ = [
     "FAULT_SITES",

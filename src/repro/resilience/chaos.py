@@ -16,9 +16,12 @@ scratch caches:
 It then asserts the faulted matrix serializes **byte-identical** to the
 fault-free one, and audits the faulted caches with the doctor checks so
 any corrupt blob that escaped quarantine ("a quarantine leak") fails
-the run.  Retry, rebuild, degradation, quarantine, and journal counters
-are reported from the engine's ``MetricsRegistry`` and the process-wide
-resilience registry.
+the run.  Quarantined blobs are counted per namespace in the stores'
+quarantine inventories, which every process moves its blobs into: a
+pool worker reads (and quarantines) most trace blobs.  Retry, rebuild,
+degradation and journal counters are reported from the engine's
+``MetricsRegistry`` and this process's resilience registry; the
+workers' own registries are not merged in.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def _engine_counters(engine) -> Dict[str, int]:
             if key.startswith(("repro_engine_", "repro_resilience_"))}
 
 
+def _quarantined(store, namespace: str) -> int:
+    """Blobs in one namespace of ``store``'s quarantine."""
+    return len(store.quarantine_inventory(namespace)["files"])
+
+
 def run_chaos(faults: str = "",
               seed: int = 0,
               workloads: Sequence[str] = CHAOS_WORKLOADS,
@@ -98,7 +106,12 @@ def run_chaos(faults: str = "",
     )
     from repro.experiments.bench import matrix_specs
     from repro.resilience.doctor import check_result_store, check_trace_store
-    from repro.store import FsStore, parse_store_url
+    from repro.store import (
+        NAMESPACE_RESULTS,
+        NAMESPACE_TRACES,
+        FsStore,
+        parse_store_url,
+    )
 
     plan = FaultPlan.parse(faults or DEFAULT_FAULTS).with_seed(seed)
     # Worker-side faults need actual workers.
@@ -142,6 +155,10 @@ def run_chaos(faults: str = "",
         local = FsStore(scratch / "faulted", trace_root=scratch / "traces")
         faulted_store = parse_store_url(store) if store else local
         faulted_cache = ResultCache(store=faulted_store, enabled=True)
+        # A remote store or a tiered store's local tier may hold earlier
+        # quarantines; the scratch trees start empty.
+        results_before = _quarantined(faulted_store, NAMESPACE_RESULTS)
+        traces_before = _quarantined(local, NAMESPACE_TRACES)
         with ExperimentEngine(jobs=jobs, cache=faulted_cache,
                               retry=policy, journal=journal) as engine:
             engine.run_many(specs)          # cold: worker faults fire
@@ -149,8 +166,10 @@ def run_chaos(faults: str = "",
             counters = _engine_counters(engine)
             degraded = engine.degraded
             pool_rebuilds = engine.pool_rebuilds
-            quarantined = faulted_cache.quarantined
         faulted = matrix_json(results)
+        result_blobs = (_quarantined(faulted_store, NAMESPACE_RESULTS)
+                        - results_before)
+        trace_blobs = _quarantined(local, NAMESPACE_TRACES) - traces_before
         journal.close()
 
         injector = get_injector()
@@ -187,7 +206,8 @@ def run_chaos(faults: str = "",
         "matrix_bytes": len(baseline),
         "fired": fired,
         "counters": counters,
-        "result_blobs_quarantined": quarantined,
+        "result_blobs_quarantined": result_blobs,
+        "trace_blobs_quarantined": trace_blobs,
         "pool_rebuilds": pool_rebuilds,
         "degraded_to_serial": degraded,
         "quarantine_leaks": leaks,
@@ -218,11 +238,13 @@ def render(report: Dict) -> str:
             f"{site}={count}" for site, count in sorted(report["fired"].items()))
             or "none"),
     ]
+    lines.append("counters (this process; pool workers' are not merged):")
     for key, value in report["counters"].items():
         lines.append(f"  {key} = {value}")
     lines.append(
         f"recovery:    {report['pool_rebuilds']} pool rebuild(s), "
-        f"{report['result_blobs_quarantined']} blob(s) quarantined, "
+        f"{report['result_blobs_quarantined']} result and "
+        f"{report['trace_blobs_quarantined']} trace blob(s) quarantined, "
         f"degraded={'yes' if report['degraded_to_serial'] else 'no'}")
     lines.append(
         f"journal:     {report['journal']['completed']} completed spec(s) "

@@ -20,29 +20,30 @@ Layering::
 Use :func:`~repro.service.app.serve` / ``repro serve`` to run one, and
 :class:`~repro.service.client.ServiceClient` / ``repro submit`` /
 ``repro jobs`` to talk to it.  Both are re-exported from
-:mod:`repro.api`.
+:mod:`repro.api`.  Every name here is bound on first access, so a
+client (``repro submit``, ``repro jobs``) never loads the server side
+or the simulator behind it.
 """
 
-from repro.service.app import DEFAULT_PORT, SweepService, serve, service_state_dir
-from repro.service.client import ServiceClient
-from repro.service.dispatcher import Dispatcher
-from repro.service.jobs import DEFAULT_TTL_S, Job, JobState, job_key
-from repro.service.queue import JobQueue
-from repro.service.rpc import METHODS, ServiceError, make_server
+from repro._lazy import lazy_names
 
-__all__ = [
-    "DEFAULT_PORT",
-    "DEFAULT_TTL_S",
-    "Dispatcher",
-    "Job",
-    "JobQueue",
-    "JobState",
-    "METHODS",
-    "ServiceClient",
-    "ServiceError",
-    "SweepService",
-    "job_key",
-    "make_server",
-    "serve",
-    "service_state_dir",
-]
+_SOURCES = {
+    "DEFAULT_PORT": "repro.service.app",
+    "DEFAULT_TTL_S": "repro.service.jobs",
+    "Dispatcher": "repro.service.dispatcher",
+    "Job": "repro.service.jobs",
+    "JobQueue": "repro.service.queue",
+    "JobState": "repro.service.jobs",
+    "METHODS": "repro.service.rpc",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.rpc",
+    "SweepService": "repro.service.app",
+    "job_key": "repro.service.jobs",
+    "make_server": "repro.service.rpc",
+    "serve": "repro.service.app",
+    "service_state_dir": "repro.service.app",
+}
+
+__getattr__, __dir__ = lazy_names(__name__, globals(), _SOURCES)
+
+__all__ = sorted(_SOURCES)

@@ -21,12 +21,16 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
-from typing import Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
-from repro.experiments._engine import RunSpec
 from repro.service.jobs import JobState
 from repro.service.rpc import INTERNAL_ERROR, MAX_WAIT_S, ServiceError
-from repro.system.results import RunResult
+
+if TYPE_CHECKING:
+    # Imported where a matrix is inflated: `repro submit` and `repro
+    # jobs` never load the simulator.
+    from repro.experiments._engine import RunSpec
+    from repro.system.results import RunResult
 
 #: Terminal job states wait() stops on.
 _SETTLED = {JobState.DONE.value, JobState.FAILED.value,
@@ -34,7 +38,7 @@ _SETTLED = {JobState.DONE.value, JobState.FAILED.value,
 
 
 def _spec_payload(spec: Union[RunSpec, Dict]) -> Dict:
-    return spec.payload() if isinstance(spec, RunSpec) else dict(spec)
+    return dict(spec) if isinstance(spec, dict) else spec.payload()
 
 
 class ServiceClient:
@@ -144,6 +148,9 @@ class ServiceClient:
 
     def results(self, job_id: str) -> Dict[RunSpec, RunResult]:
         """The job's matrix in ``repro.api.sweep``'s shape."""
+        from repro.experiments._engine import RunSpec
+        from repro.system.results import RunResult
+
         payload = self.job_result(job_id)
         return {
             RunSpec.from_payload(cell["spec"]):

@@ -31,9 +31,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.experiments._engine import RunSpec
+if TYPE_CHECKING:
+    # The client needs only JobState; the engine loads where specs are
+    # rebuilt.
+    from repro.experiments._engine import RunSpec
 
 #: Bump when the job record layout or key derivation changes; old queue
 #: journals replay fine (unknown fields are ignored, missing get defaults)
@@ -132,6 +135,8 @@ class Job:
     def from_dict(cls, data: Dict) -> "Job":
         """Inverse of :meth:`to_dict`; unknown keys ignored, missing
         optional keys take their defaults (forward-compatible replay)."""
+        from repro.experiments._engine import RunSpec
+
         specs = [RunSpec.from_payload(p) for p in data["specs"]]
         return cls(
             key=data["key"],

@@ -28,8 +28,13 @@ Selection is by URL: ``file:///path`` (or a bare path) names an
 :func:`configure_store` installs a process-wide choice (exported through
 ``REPRO_STORE`` so pool workers inherit it); :func:`get_store` is what
 the caches consult.  See docs/distributed.md.
+
+:class:`HttpStore` (with ``http.client`` and ``ssl`` behind it),
+:class:`StoreUnavailableError` and :class:`TieredStore` are bound on
+first access, so a process on the local tree never compiles them.
 """
 
+from repro._lazy import lazy_names
 from repro.store.base import (
     NAMESPACE_RESULTS,
     NAMESPACE_TRACES,
@@ -46,8 +51,12 @@ from repro.store.config import (
     store_url,
 )
 from repro.store.fs import FsStore, default_result_root, default_trace_root
-from repro.store.http import HttpStore, StoreUnavailableError
-from repro.store.tiered import TieredStore
+
+__getattr__, __dir__ = lazy_names(__name__, globals(), {
+    "HttpStore": "repro.store.http",
+    "StoreUnavailableError": "repro.store.http",
+    "TieredStore": "repro.store.tiered",
+})
 
 __all__ = [
     "BlobStat",

@@ -35,7 +35,6 @@ from typing import Optional, Tuple, Union
 
 from repro.store.base import BlobStore, StoreError
 from repro.store.fs import FsStore
-from repro.store.http import HttpStore
 
 
 def _parse_tiered_url(text: str) -> BlobStore:
@@ -81,6 +80,8 @@ def parse_store_url(url_or_path: Union[str, Path]) -> BlobStore:
     if text.startswith("tiered+"):
         return _parse_tiered_url(text)
     if text.startswith(("http://", "https://")):
+        from repro.store.http import HttpStore
+
         return HttpStore(text)
     if text.startswith("file://"):
         path = text[len("file://"):]

@@ -83,15 +83,14 @@ class PackedTrace:
         """Pack per-core ``MemAccess`` iterables into columns."""
         cols: List[Columns] = []
         for stream in streams:
-            w, a, s, p, t = (array("b"), array("q"), array("i"),
-                             array("q"), array("i"))
-            for e in stream:
-                w.append(1 if e.is_write else 0)
-                a.append(e.addr)
-                s.append(e.size)
-                p.append(e.pc)
-                t.append(e.think)
-            cols.append((w, a, s, p, t))
+            # One list per column, then one array each: no per-event
+            # method call.
+            events = list(stream)
+            cols.append((array("b", [1 if e.is_write else 0 for e in events]),
+                         array("q", [e.addr for e in events]),
+                         array("i", [e.size for e in events]),
+                         array("q", [e.pc for e in events]),
+                         array("i", [e.think for e in events])))
         return cls(cols)
 
     # -- shape ---------------------------------------------------------------

@@ -29,6 +29,7 @@ the non-memory instructions between references.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Iterator
 
 from repro.trace.events import MemAccess
@@ -86,8 +87,8 @@ def false_sharing_counter(base: int, slot: int, pc: int, *, think: int = 2,
     addr = base + slot * WORD
     while True:
         if read_modify_write:
-            yield MemAccess.read(addr, WORD, pc, think)
-        yield MemAccess.write(addr, WORD, pc + 1, think)
+            yield MemAccess(False, addr, WORD, pc, think)
+        yield MemAccess(True, addr, WORD, pc + 1, think)
 
 
 def packed_slots(base: int, core: int, slot_bytes: int, pc: int, *,
@@ -125,7 +126,7 @@ def shared_read_table(base: int, footprint: int, pc: int, *, think: int = 4,
         jitter = (slot * 2654435761 >> 8) % sparsity if sparsity > 1 else 0
         addr = base + (slot * sparsity + jitter) * stride
         for w in range(span_words):
-            yield MemAccess.read(addr + w * WORD, WORD, pc, think)
+            yield MemAccess(False, addr + w * WORD, WORD, pc, think)
 
 
 def migratory_regions(base: int, nregions: int, core: int, pc: int, *,
@@ -141,8 +142,8 @@ def migratory_regions(base: int, nregions: int, core: int, pc: int, *,
     while True:
         addr = base + index * REGION
         for w in range(words_per_visit):
-            yield MemAccess.read(addr + (w % 8) * WORD, WORD, pc, think)
-            yield MemAccess.write(addr + (w % 8) * WORD, WORD, pc + 1, think)
+            yield MemAccess(False, addr + (w % 8) * WORD, WORD, pc, think)
+            yield MemAccess(True, addr + (w % 8) * WORD, WORD, pc + 1, think)
         index = (index + 1 + rng.randrange(3)) % max(nregions, 1)
 
 
@@ -153,7 +154,7 @@ def producer_stream(base: int, nregions: int, pc: int, *,
     while True:
         addr = base + index * REGION
         for w in range(8):
-            yield MemAccess.write(addr + w * WORD, WORD, pc, think)
+            yield MemAccess(True, addr + w * WORD, WORD, pc, think)
         index = (index + 1) % max(nregions, 1)
 
 
@@ -164,7 +165,7 @@ def consumer_stream(base: int, nregions: int, pc: int, *, think: int = 4,
     while True:
         addr = base + index * REGION
         for w in range(8):
-            yield MemAccess.read(addr + w * WORD, WORD, pc, think)
+            yield MemAccess(False, addr + w * WORD, WORD, pc, think)
         index = (index + 1) % max(nregions, 1)
 
 
@@ -185,13 +186,13 @@ def stencil_stream(core: int, cores: int, base: int, slab_bytes: int, pc: int, *
     count = 0
     while True:
         addr = slab + offset
-        yield MemAccess.read(addr, WORD, pc, think)
+        yield MemAccess(False, addr, WORD, pc, think)
         if rng.random() < write_frac:
-            yield MemAccess.write(addr, WORD, pc + 1, think)
+            yield MemAccess(True, addr, WORD, pc + 1, think)
         count += 1
         if count % boundary_every == 0:
             edge = left if (count // boundary_every) % 2 == 0 else right
-            yield MemAccess.read(edge + rng.randrange(8) * WORD, WORD, pc + 2, think)
+            yield MemAccess(False, edge + rng.randrange(8) * WORD, WORD, pc + 2, think)
         offset = (offset + WORD) % slab_bytes
 
 
@@ -215,6 +216,4 @@ def interleave(rng: random.Random, weighted, burst: int = 16) -> Iterator[MemAcc
             if pick <= acc:
                 chosen = gen
                 break
-        length = 1 + rng.randrange(burst)
-        for _ in range(length):
-            yield next(chosen)
+        yield from islice(chosen, 1 + rng.randrange(burst))

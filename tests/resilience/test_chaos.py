@@ -52,11 +52,26 @@ class TestRunChaos:
         assert report["fired"].get("worker-kill") == 1
         assert report["fired"].get("worker-exc") == 1
         assert report["fired"].get("cache-corrupt") == 1
+        assert report["result_blobs_quarantined"] == 1
+        assert report["trace_blobs_quarantined"] == 0
         assert report["journal"]["completed"] == report["cells"]
         # The report round-trips to disk and renders a PASS.
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk["ok"]
         assert "chaos: PASS" in render(report)
+
+    def test_worker_trace_quarantine_is_counted(self):
+        # Phase 1 already cached every trace, so the corrupted read -- and
+        # its quarantine -- happens in a pool worker, not in this process.
+        report = run_chaos(faults="trace-corrupt:n=1", seed=0,
+                           workloads=("histogram",), cores=2, per_core=60,
+                           jobs=2)
+        assert report["ok"], report
+        assert report["fired"] == {"trace-corrupt": 1}
+        assert report["trace_blobs_quarantined"] == 1
+        assert report["result_blobs_quarantined"] == 0
+        assert ("0 result and 1 trace blob(s) quarantined"
+                in render(report))
 
     def test_scratch_cleaned_up_unless_kept(self, tmp_path):
         import os

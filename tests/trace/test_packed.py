@@ -1,7 +1,9 @@
 """PackedTrace: columnar round-trips, binary format, replay parity."""
 
+import hashlib
 import io
 import struct
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ from repro.system.machine import simulate
 from repro.trace.events import MemAccess
 from repro.trace.io import read_trace, write_trace
 from repro.trace.packed import FORMAT_VERSION, PackedTrace
-from repro.trace.workloads import build_streams
+from repro.trace.workloads import WORKLOADS, build_streams
 
 
 def fields(stream):
@@ -169,3 +171,82 @@ class TestReplayParity:
         config = SystemConfig(protocol=ProtocolKind.MESI, cores=4)
         with pytest.raises(SimulationError):
             simulate(packed, config)
+
+
+#: sha256 of ``PackedTrace.from_streams(build_streams(name, cores=4,
+#: per_core=200)).dumps()`` for every workload at seed 0.  Column bytes
+#: are native-endian, so these hold on little-endian hosts.
+PACKED_SHA256 = {
+    "apache":
+        "8258efec64c015818705dca45ecbbb0fd1e8a92c6dd2b0ee5073fa09b8415033",
+    "barnes":
+        "b4a9b4ea369934061730f5da3b5ffec35377b16083c4c5a48c1fef1847fbd721",
+    "blackscholes":
+        "7668fdae66e98c651f69c932c48ec2814032bde6b696126521750838d5046edc",
+    "bodytrack":
+        "1f1533025ff36e61a2f50ce40ba34fd146d1f98c2a92baed2ad41f66e04e9513",
+    "canneal":
+        "3eccaf990fe188e5573464fc23cf1045ca4ef3465a072491452dc928419e6351",
+    "cholesky":
+        "77866b7810de816711be9a6751748f44fb97674c4b094602dea16c68fef843b0",
+    "facesim":
+        "e7065dede4308301c3be1e34b945e30ebde24c3a31fa7f58c119fa820959cc7b",
+    "fft":
+        "ebf2c611d0e256f38545fa190fd6fad018a6fe0ae47aa7f4e306f91f80cdc9ec",
+    "fluidanimate":
+        "d3cb9ccd7c69b2a56c9e47fe85ee394cd61e9cd87d0573776119a988c0ff31d1",
+    "h2":
+        "57cd37249101776099d8c71e57436e07bf68af6764c659e064ec4871c5fc19b0",
+    "histogram":
+        "06fa991a6742fdeb62de815bfeb1cc0cf30e3498b3fcb1a234fe207204391c83",
+    "kmeans":
+        "11a5aeee2a812040706de8f1de46a922395f841522ec09460e99e0957b142f5a",
+    "linear-regression":
+        "4a8b1364955faaeff59502586c2f1ada5bb3fda3a0de2f55481fde3932221c1f",
+    "lu":
+        "8780d208ba6b9224d0af755c8927a0215d9ac7ef3f9ab15b307767404d6e074e",
+    "matrix-multiply":
+        "eef700cb21473e2dbbf9807fbe9dc654a37d85991b86ff71823478c2eb5f97a5",
+    "ocean":
+        "1b22910fcd4df0cfb08ed35bec0834b1a4aaf7899bd6d0834e97853a86bf5a2e",
+    "parkd":
+        "21fb182a30e2dd26101e302609043a83ae6307b69af1cea505e35983d513751a",
+    "radix":
+        "641feb1128ea8236608197f1838f2fe86511ca23468d8dd505914bf6eea89deb",
+    "raytrace":
+        "2666d4c72ea421f74eaece482a90a4f36fd84406caf8da59460bf61c319d1eab",
+    "reverse-index":
+        "9e9c23b98ce91ae9a1adf8cc642782efe851ae2a2a7fce2caaf8bff7428069d9",
+    "spec-jbb":
+        "7c6e432ca1710a83de76e92f5abb26b9c7156c9c5dddd4fe1d34ba0784d73cec",
+    "streamcluster":
+        "b6c907c338535afc2b727dbd35b7ef114cb3195f101fdadc1d6368a085642057",
+    "string-match":
+        "1c09e390ada507690a18b3bb11b14a49661baba50948c20a6b71bd5429b5e5be",
+    "swaptions":
+        "80f44df5aa7b36c17dc21a540efeaae2801514d7fa9e87f80871b248b1ab780b",
+    "tradebeans":
+        "5ce00c672b6602d4c6145ecbdd7632f7af2461326472626b2ab609a741511cdf",
+    "water":
+        "6bcb098bfcffc858ecdfabf4ab8d9d9c9729c0fdd0134fbf39580907271aca57",
+    "word-count":
+        "b8a19cdc664f2e22a1dc15999d48ec26eac81b1ff586106c6adae43c1e44dd7a",
+    "x264":
+        "d668b3d09b01d1c92171094668871474158f5232df30da8baa5963a53f03a88e",
+}
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="digests of little-endian column bytes")
+class TestWorkloadBytes:
+    def test_every_workload_is_pinned(self):
+        assert sorted(PACKED_SHA256) == sorted(WORKLOADS)
+
+    @pytest.mark.parametrize("name", sorted(PACKED_SHA256))
+    def test_packed_bytes_unchanged(self, name):
+        """Generators and packing draw, order and encode every event
+        exactly as the pinned build did."""
+        packed = PackedTrace.from_streams(build_streams(name, cores=4,
+                                                        per_core=200))
+        assert hashlib.sha256(packed.dumps()).hexdigest() == \
+            PACKED_SHA256[name]
