@@ -135,13 +135,11 @@ def run(workload: str,
     ``True`` forces batching where eligible — counters are bit-identical
     either way.
     """
-    from repro.trace.packed import PackedTrace
-
     spec = RunSpec(workload=workload, protocol=parse_protocol(protocol),
                    block_bytes=block_bytes, cores=cores,
                    per_core=per_core, seed=seed)
-    streams = PackedTrace.from_streams(
-        build_streams(workload, cores=cores, per_core=per_core, seed=seed))
+    streams = build_streams(workload, cores=cores, per_core=per_core,
+                            seed=seed)
     return simulate(streams, spec.config(), name=workload,
                     max_accesses=max_accesses, obs=obs, batch=batch)
 

@@ -244,15 +244,17 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.system.machine import simulate
+    from repro.trace.packed import PackedTrace
     from repro.trace.workloads import build_streams
 
     print(f"{args.workload}: {args.cores} cores x {args.scale} accesses\n")
     print(f"{'protocol':>9} {'mpki':>8} {'traffic(B)':>11} {'used%':>7} "
           f"{'flit-hops':>10} {'exec':>10}")
+    trace = PackedTrace.from_streams(build_streams(
+        args.workload, cores=args.cores, per_core=args.scale,
+        seed=args.seed))
     for protocol in ProtocolKind:
-        streams = build_streams(args.workload, cores=args.cores,
-                                per_core=args.scale, seed=args.seed)
-        result = simulate(streams, _config(args, protocol), name=args.workload)
+        result = simulate(trace, _config(args, protocol), name=args.workload)
         print(f"{protocol.short_name:>9} {result.mpki():>8.2f} "
               f"{result.traffic_bytes():>11} "
               f"{100 * result.used_fraction():>6.1f}% "

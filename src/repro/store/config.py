@@ -21,17 +21,19 @@ describes the remote leg and is handed to it unchanged.
 ``configure_store`` installs a process-wide choice and exports it as
 ``REPRO_STORE`` so every engine this process builds — and every pool
 worker it forks — resolves the same store.  ``get_store`` is the single
-lookup the caches use: the configured store if its URL still matches
-the environment, else whatever ``REPRO_STORE`` names, else the default
+lookup the caches use: the store ``REPRO_STORE`` names, else the default
 :class:`~repro.store.fs.FsStore`, whose result and trace trees
-``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` locate.
+``REPRO_CACHE_DIR`` / ``REPRO_TRACE_CACHE_DIR`` locate.  A named store
+is built once per process and ``REPRO_STORE`` value, so one remote
+keeps one circuit breaker and one tiered store one local tier, however
+the URL arrived; a forked child builds its own.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.store.base import BlobStore, StoreError
 from repro.store.fs import FsStore
@@ -100,8 +102,9 @@ def store_url(store: BlobStore) -> str:
     return store.url()
 
 
-#: (REPRO_STORE value it was configured under, the store) — see get_store.
-_CONFIGURED: Tuple[Optional[str], Optional[BlobStore]] = (None, None)
+#: The stores built in this process, by (pid, REPRO_STORE value); a
+#: forked child inherits the dict but, with its own pid, none of its keys.
+_BUILT: Dict[Tuple[int, str], BlobStore] = {}
 
 
 def configure_store(url_or_path: Union[str, Path, None]) -> Optional[BlobStore]:
@@ -110,29 +113,32 @@ def configure_store(url_or_path: Union[str, Path, None]) -> Optional[BlobStore]:
     The choice is exported through ``REPRO_STORE`` so forked pool
     workers and child processes inherit it; returns the backend.
     """
-    global _CONFIGURED
     if url_or_path is None:
-        _CONFIGURED = (None, None)
+        _BUILT.clear()
         os.environ.pop("REPRO_STORE", None)
         return None
     store = parse_store_url(url_or_path)
     url = store_url(store)
     os.environ["REPRO_STORE"] = url
-    _CONFIGURED = (url, store)
+    _BUILT[(os.getpid(), url)] = store
     return store
 
 
 def get_store() -> BlobStore:
     """The store the caches should use right now.
 
-    Construction is a couple of environment reads, so — like the caches
-    themselves — callers consult this per use and environment changes
-    (notably the hermetic test fixtures) always take effect.
+    Callers consult this per use, so a change of ``REPRO_STORE``
+    (notably by the hermetic test fixtures) takes effect at once; each
+    value's store is built on its first lookup in a process and kept.
+    With no ``REPRO_STORE``, a fresh default store is a couple of
+    environment reads.
     """
     env = os.environ.get("REPRO_STORE", "")
-    url, store = _CONFIGURED
-    if store is not None and url == env:
-        return store
-    if env:
-        return parse_store_url(env)
-    return FsStore()
+    if not env:
+        return FsStore()
+    key = (os.getpid(), env)
+    store = _BUILT.get(key)
+    if store is None:
+        # setdefault: threads racing on a first lookup share one store.
+        store = _BUILT.setdefault(key, parse_store_url(env))
+    return store

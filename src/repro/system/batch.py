@@ -12,10 +12,13 @@ while provably reproducing the scalar interleaving bit-for-bit.
 After its popped event, a core keeps executing events inline as long as
 ``(clock, core)`` stays below the heap's head: exactly the events the
 scalar loop would have handed it anyway, in the same order, so the loop
-is legal everywhere, ``max_accesses`` and L2 recalls included.  A hit
-commits by one test of its masks against the cached ownership summary
-of its (core, region), which :meth:`CoherenceProtocol.coverage_masks`
-computes exactly as :meth:`CoherenceProtocol._access` does.
+is legal everywhere, ``max_accesses`` and L2 recalls included.  It
+starts from the simulator's per-core clocks and cursors and writes them
+back, as the scalar loop does, so a run cut short by ``max_accesses``
+resumes where it stopped.  A hit commits by one test of its masks
+against the cached ownership summary of its (core, region), which
+:meth:`CoherenceProtocol.coverage_masks` computes exactly as
+:meth:`CoherenceProtocol._access` does.
 
 Committed hits are *deferred*: per-region pending masks accumulate
 the touched/dirty words and are flushed onto the real
@@ -43,9 +46,8 @@ scalar run.  An event ring is the exception: it wants one record per
 transaction, so a run with a ring attached takes the scalar loop.
 
 Batch mode declines (returning the scalar path, never an error) when
-the stream is not packed, ``batch=False`` was passed, ``check_values``
-is on, an event ring is attached, or regions are wider than the 62-word
-mask columns.  With
+``batch=False`` was passed, ``check_values`` is on, an event ring is
+attached, or regions are wider than the 62-word mask columns.  With
 ``batch=None`` (the default) the trace decides: traces shorter than
 :data:`MIN_EVENTS_PER_CORE` per core or less reused than
 :data:`MIN_REUSE` run the scalar loop too.  ``batch=True`` bypasses
@@ -83,9 +85,7 @@ def maybe_run_batched(sim, max_accesses: Optional[int]) -> bool:
     decision is side-effect free.
     """
     packed = sim._packed
-    if packed is None:
-        return False
-    requested = getattr(sim, "_batch", None)
+    requested = sim._batch
     if requested is False:
         return False
     if (requested is None
@@ -167,8 +167,9 @@ class _BatchRunner:
         clocks = sim.clocks
         counts = self.counts
         core_state = self.core_state
-        cursor = [0] * self.cores
-        heap = [(clocks[c], c) for c in range(self.cores) if counts[c]]
+        cursor = sim.cursor
+        heap = [(clocks[c], c) for c in range(self.cores)
+                if cursor[c] < counts[c]]
         heapify(heap)
         hit_latency = protocol._hit_latency
         protocol_read = protocol.read
@@ -182,7 +183,6 @@ class _BatchRunner:
         try:
             while heap:
                 if max_accesses is not None and issued >= max_accesses:
-                    stats.truncated = True
                     break
                 clock, core = heappop(heap)
                 i = cursor[core]

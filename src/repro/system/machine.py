@@ -31,15 +31,15 @@ def simulate(streams: Streams, config: SystemConfig,
              obs=None, batch: Optional[bool] = None) -> RunResult:
     """Build a machine, run the streams through it, and package the result.
 
-    ``streams`` is either per-core ``MemAccess`` iterables or a
-    :class:`~repro.trace.packed.PackedTrace`; both replay identically
-    (the packed form just skips per-event object construction).
+    ``streams`` is a :class:`~repro.trace.packed.PackedTrace` or finite
+    per-core ``MemAccess`` iterables, which the :class:`Simulator` packs
+    on entry; a caller that replays one trace several times packs it
+    once and passes the ``PackedTrace``.
 
-    ``batch`` selects the batched issue loop for packed streams
-    (:mod:`repro.system.batch`): ``None`` lets the trace decide,
-    batching only traces long and reused enough to repay it, ``False``
-    forces the scalar loop, ``True`` forces batch where eligible.
-    Results are bit-identical either way.
+    ``batch`` selects the batched issue loop (:mod:`repro.system.batch`):
+    ``None`` lets the trace decide, batching only traces long and reused
+    enough to repay it, ``False`` forces the scalar loop, ``True``
+    forces batch where eligible.  Results are bit-identical either way.
 
     ``obs`` selects observability (:mod:`repro.obs`): ``None`` consults
     ``REPRO_OBS`` (default off — every hook is then a no-op), ``False``

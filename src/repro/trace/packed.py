@@ -10,11 +10,10 @@ binary header followed by the raw column bytes, loadable with one
 ``array.frombytes`` per column over an ``mmap`` of the file (a bulk
 memcpy — no parsing, no unpickling).
 
-``MemAccess`` streams remain the interchange form for the text trace
-format (:mod:`repro.trace.io`) and for tests: :meth:`PackedTrace.streams`
-and :meth:`PackedTrace.from_streams` convert losslessly in both
-directions, and the conversion re-validates every record through the
-``MemAccess`` constructor (the ``addr < 0`` path included).
+``MemAccess`` streams remain the form that the text trace format
+(:mod:`repro.trace.io`) reads and writes and that hand-built scenarios
+use; :meth:`PackedTrace.from_streams` packs them, and the simulator
+calls it on any stream it is handed that is not packed yet.
 
 Bump :data:`FORMAT_VERSION` whenever the binary layout changes; the
 trace cache (:mod:`repro.trace._cache`) keys entries by it, so stale
@@ -27,7 +26,7 @@ import mmap
 import struct
 import sys
 from array import array
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.common.errors import SimulationError
 from repro.trace.events import MemAccess
@@ -79,18 +78,25 @@ class PackedTrace:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_streams(cls, streams: List[Iterable[MemAccess]]) -> "PackedTrace":
+    def from_streams(cls, streams: Iterable[Iterable[MemAccess]]
+                     ) -> "PackedTrace":
         """Pack per-core ``MemAccess`` iterables into columns."""
         cols: List[Columns] = []
         for stream in streams:
             # One list per column, then one array each: no per-event
             # method call.
             events = list(stream)
-            cols.append((array("b", [1 if e.is_write else 0 for e in events]),
-                         array("q", [e.addr for e in events]),
-                         array("i", [e.size for e in events]),
-                         array("q", [e.pc for e in events]),
-                         array("i", [e.think for e in events])))
+            try:
+                cols.append((
+                    array("b", [1 if e.is_write else 0 for e in events]),
+                    array("q", [e.addr for e in events]),
+                    array("i", [e.size for e in events]),
+                    array("q", [e.pc for e in events]),
+                    array("i", [e.think for e in events])))
+            except OverflowError:
+                raise SimulationError(
+                    "packed trace: addr and pc must be below 2**63, size "
+                    "and think below 2**31") from None
         return cls(cols)
 
     # -- shape ---------------------------------------------------------------
@@ -119,16 +125,6 @@ class PackedTrace:
     def core_columns(self, core: int) -> Columns:
         """The (is_write, addr, size, pc, think) arrays for one core."""
         return self._cols[core]
-
-    def iter_core(self, core: int) -> Iterator[MemAccess]:
-        """Rebuild one core's stream as validated ``MemAccess`` objects."""
-        w, a, s, p, t = self._cols[core]
-        for i in range(len(w)):
-            yield MemAccess(bool(w[i]), a[i], s[i], p[i], t[i])
-
-    def streams(self) -> List[List[MemAccess]]:
-        """The compatibility form consumed by ``trace/io.py`` and tests."""
-        return [list(self.iter_core(core)) for core in range(self.cores)]
 
     # -- binary serialization ------------------------------------------------
 

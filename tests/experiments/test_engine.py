@@ -15,9 +15,7 @@ from repro.experiments._engine import (
 )
 from repro.experiments.runner import ALL_PROTOCOLS, ExperimentSettings, ResultMatrix
 from repro.store import FsStore
-from repro.system.machine import simulate
 from repro.system.results import RunResult
-from repro.trace.workloads import build_streams
 
 WORKLOADS = ("kmeans", "histogram")
 
@@ -90,24 +88,6 @@ class TestSerialization:
         result.stats.truncated = True
         clone = RunResult.from_dict(result.to_dict())
         assert clone.stats.truncated is True
-
-
-class TestPackedParity:
-    """Packed replay (the engine's default) == object-stream replay."""
-
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
-                             ids=[p.short_name for p in ALL_PROTOCOLS])
-    def test_packed_and_object_replay_bit_identical(self, protocol):
-        spec = RunSpec("histogram", protocol, cores=4, per_core=150)
-        packed = execute_spec(spec)
-        objects = simulate(build_streams(spec.workload, cores=spec.cores,
-                                         per_core=spec.per_core,
-                                         seed=spec.seed),
-                           spec.config(), name=spec.workload)
-        assert packed.stats.to_dict() == objects.stats.to_dict()
-        assert packed.flit_hops() == objects.flit_hops()
-        assert packed.dir_owned_buckets() == objects.dir_owned_buckets()
-        assert packed.to_dict() == objects.to_dict()
 
 
 class TestParallelParity:

@@ -2,12 +2,13 @@
 
 ``perfbench/goldens.json`` holds, per cell of a cold ``repro report`` at
 16 cores x 25 accesses/core and seed 0 (28 workloads x 4 protocols, plus
-Table 1's MESI block sizes), the digest of the ``RunStats`` the plainest
-path wrote: object streams through the scalar issue loop.  Reproducing it
-through the packed default path (``execute_spec``) checks packed ==
-object, and through the forced batch loop on the same packed trace checks
-batch == scalar, on every cell.  The digest and the key come from
-``perfbench.golden`` so they have one definition.
+Table 1's MESI block sizes), the digest of the cell's ``RunStats``.  Each
+cell must reproduce it through three entries: the engine's default path
+(``execute_spec``, a trace from the trace cache), the forced batch loop
+on the same packed trace (batch == scalar), and the object streams the
+workload generators yield, which the simulator packs on entry.  The
+digest and the key come from ``perfbench.golden`` so they have one
+definition.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.experiments.runner import ALL_PROTOCOLS, ExperimentSettings
 from repro.experiments.table1 import BLOCK_SIZES
 from repro.system.machine import simulate
 from repro.trace._cache import packed_streams
+from repro.trace.workloads import build_streams
 
 CORES = 16
 PER_CORE = 25
@@ -46,3 +48,7 @@ def test_cell_reproduces_its_golden(spec):
                            per_core=spec.per_core, seed=spec.seed)
     batched = simulate(trace, spec.config(), name=spec.workload, batch=True)
     assert digest(batched.stats.to_dict()) == golden
+    streams = build_streams(spec.workload, cores=spec.cores,
+                            per_core=spec.per_core, seed=spec.seed)
+    objects = simulate(streams, spec.config(), name=spec.workload)
+    assert digest(objects.stats.to_dict()) == golden

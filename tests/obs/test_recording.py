@@ -93,7 +93,8 @@ def test_resumed_run_projects_each_event_once(kind):
     simulator = Simulator(build_protocol(config), streams("kmeans"),
                           obs=session)
     simulator.run(max_accesses=CORES * PER_CORE // 2, flush=False)
-    simulator.run()
+    stats = simulator.run()
+    assert stats.to_dict() == whole.stats.to_dict()
     assert (observed_series(session.metrics.to_dict())
             == observed_series(whole.metrics))
 

@@ -273,10 +273,10 @@ def tree(tmp_path, monkeypatch):
     import repro.store.config as store_config
 
     monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
-    # `--store` exports REPRO_STORE and pins a configured store; both are
-    # restored at teardown so later tests resolve their own stores.
+    # `--store` exports REPRO_STORE and keeps the store it built; both
+    # are restored at teardown so later tests resolve their own stores.
     monkeypatch.setenv("REPRO_STORE", "")
-    monkeypatch.setattr(store_config, "_CONFIGURED", (None, None))
+    monkeypatch.setattr(store_config, "_BUILT", {})
     root = tmp_path / "cache"
     store = FsStore(root)
     with ExperimentEngine(jobs=1, cache=ResultCache(store=store,

@@ -145,9 +145,10 @@ class TestDoctorCli:
         import repro.store.config as store_config
 
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(backing.trace_root))
-        saved = (os.environ.get("REPRO_STORE"), store_config._CONFIGURED)
+        saved = (os.environ.get("REPRO_STORE"), dict(store_config._BUILT))
         yield
-        store_config._CONFIGURED = saved[1]
+        store_config._BUILT.clear()
+        store_config._BUILT.update(saved[1])
         if saved[0] is None:
             os.environ.pop("REPRO_STORE", None)
         else:

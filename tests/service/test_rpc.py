@@ -92,6 +92,25 @@ class TestEndToEnd:
         assert health["version"] == package_version()
         assert health["dispatcher"] is True
 
+    def test_health_reads_the_version_once(self, live, monkeypatch):
+        import importlib.metadata
+
+        _, client, _ = live
+        real, calls = importlib.metadata.version, []
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting)
+        package_version.cache_clear()
+        try:
+            versions = [client.health()["version"] for _ in range(2)]
+            assert versions == [package_version()] * 2
+            assert calls == ["repro"]
+        finally:
+            package_version.cache_clear()
+
     def test_sweep_matches_direct_api(self, live, tmp_path):
         _, client, _ = live
         remote = client.sweep(SPECS, timeout_s=120.0)

@@ -17,11 +17,12 @@ def _per_test_trace_dir(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _clean_store_config():
-    """Snapshot ``REPRO_STORE`` and the process-wide configured store."""
+    """Snapshot ``REPRO_STORE`` and the process's built stores."""
     saved_env = os.environ.get("REPRO_STORE")
-    saved_configured = store_config._CONFIGURED
+    saved_built = dict(store_config._BUILT)
     yield
-    store_config._CONFIGURED = saved_configured
+    store_config._BUILT.clear()
+    store_config._BUILT.update(saved_built)
     if saved_env is None:
         os.environ.pop("REPRO_STORE", None)
     else:

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from repro.obs.metrics import reset_process_registry
+from repro.resilience.log import clear_events
 from repro.store import (
     FsStore,
     HttpStore,
@@ -12,6 +14,10 @@ from repro.store import (
     get_store,
 )
 from repro.store.config import parse_store_url, store_url
+from repro.store.http import DEFAULT_BREAKER_THRESHOLD
+
+#: Nothing listens here (port 9 is discard; nobody binds it in tests).
+DEAD_URL = "http://127.0.0.1:9"
 
 
 class TestParseStoreUrl:
@@ -78,6 +84,44 @@ class TestConfigureStore:
     def test_bad_url_raises_store_error(self):
         with pytest.raises(StoreError):
             configure_store("gopher://nope")
+
+
+class TestOneStorePerProcess:
+    """A store named only by the environment is built once per process."""
+
+    def test_env_lookups_return_one_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", f"file://{tmp_path}")
+        assert get_store() is get_store()
+        monkeypatch.setenv("REPRO_STORE", DEAD_URL)
+        assert get_store() is get_store()
+
+    def test_tripped_breaker_stays_open_across_lookups(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.setenv("REPRO_STORE", DEAD_URL)
+        try:
+            for _ in range(DEFAULT_BREAKER_THRESHOLD):
+                with pytest.raises((OSError, StoreError)):
+                    get_store().get(f"results/{'ab' * 32}.json")
+            assert get_store().degraded
+        finally:
+            reset_process_registry()
+            clear_events()
+
+    def test_forked_child_builds_its_own_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", f"file://{tmp_path}")
+        parent = get_store()
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit code only
+            code = 1
+            try:
+                child = get_store()
+                code = 0 if (child is not parent and child is get_store()
+                             and child.root == parent.root) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert get_store() is parent
 
 
 class TestPublicSurface:

@@ -260,13 +260,6 @@ class TestEligibility:
         scalar, batched = both(trace, config)
         assert batched == scalar
 
-    def test_unpacked_streams_decline(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_BatchRunner", _Boom)
-        streams = [[MemAccess.read(8 * i) for i in range(10)]]
-        result = simulate(streams, config_for(ProtocolKind.MESI, cores=1),
-                          batch=True)
-        assert result.stats.accesses == 10
-
     def test_short_report_never_imports_numpy(self, tmp_path):
         # numpy only speeds up deriving columns, which a short trace
         # never needs: a cold serial report at 16 x 25 must not load it.

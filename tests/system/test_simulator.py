@@ -3,11 +3,15 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.params import ProtocolKind
+from repro.common.params import ProtocolKind, SystemConfig
+from repro.system import batch as batch_mod
 from repro.system._simulator import Simulator
+from repro.system.machine import build_protocol
 from repro.trace.events import MemAccess
+from repro.trace.packed import PackedTrace
+from repro.trace.workloads import build_streams
 
-from tests.conftest import make_engine
+from tests.conftest import ALL_KINDS, make_engine
 
 
 def sim(kind=ProtocolKind.MESI, streams=(), cores=4):
@@ -99,3 +103,37 @@ class TestSharingTiming:
         packed = sim(ProtocolKind.MESI, [counter(0, 8), counter(1, 8)], 2).run()
         padded = sim(ProtocolKind.MESI, [counter(0, 64), counter(1, 64)], 2).run()
         assert packed.execution_cycles() > padded.execution_cycles()
+
+
+class TestResume:
+    """A run cut short by ``max_accesses`` continues where it stopped."""
+
+    @pytest.mark.parametrize("batch", [False, True],
+                             ids=["scalar", "batched"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_resumed_run_equals_the_whole_run(self, kind, batch,
+                                              monkeypatch):
+        ran = []
+
+        class Spy(batch_mod._BatchRunner):
+            def run(self):
+                ran.append(True)
+                super().run()
+
+        monkeypatch.setattr(batch_mod, "_BatchRunner", Spy)
+        config = SystemConfig(protocol=kind, cores=4)
+        trace = PackedTrace.from_streams(
+            build_streams("kmeans", cores=4, per_core=300, seed=0))
+
+        def simulator():
+            return Simulator(build_protocol(config), trace, batch=batch)
+
+        whole = simulator().run().to_dict()
+        resumed = simulator()
+        assert resumed.run(max_accesses=600, flush=False).truncated is True
+        stats = resumed.run()
+        assert stats.to_dict() == whole
+        assert stats.accesses == 1200
+        assert stats.truncated is False
+        # The batched loop really ran for the whole run and both parts.
+        assert len(ran) == (3 if batch else 0)
